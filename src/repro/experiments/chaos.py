@@ -36,7 +36,7 @@ from ..fabric import build_fabric
 from ..faults import FaultSchedule
 from ..mpi import Communicator, DeliveryError, RetryPolicy
 from ..routing import route_dmodk
-from ..sim.packet_vector import CONFLICT_MARGIN
+from ..sim.batch import CONFLICT_MARGIN
 from .common import (
     DEFAULT_SEED,
     add_runtime_args,

@@ -1,10 +1,15 @@
-"""Fault-honoring packet engine: the reference core plus a fault plane.
+"""The event-driven packet core, with a dynamic fault plane.
 
-This is the event-driven engine of :mod:`repro.sim.packet` extended
-with a dynamic fault plane.  The traffic model is unchanged -- MTU
-segmentation, cut-through forwarding, input-queued FIFOs, credit flow
-control -- and on an empty schedule the run is event-for-event the
-reference run.  Faults add four behaviours:
+This is the only per-packet event engine in the package:
+``PacketSimulator(engine="reference")`` is :func:`run_faulty` on an
+empty :class:`FaultSchedule`, and the wave calendar of
+:mod:`repro.sim.batch` demotes every element it cannot resolve
+analytically straight to it.  The traffic model is the one documented
+in :mod:`repro.sim.packet` -- MTU segmentation, cut-through forwarding,
+input-queued FIFOs, credit flow control.  A cable missing from the
+fabric (``port_peer < 0``) is a link that is down from t=0, so a packet
+a stale table routes onto it is dropped like any other.  Faults add
+four behaviours:
 
 * **drop at transmit** -- a packet whose next link is down (or whose
   LFT entry is ``-1`` after a repair left the destination unreachable)
@@ -28,9 +33,10 @@ discards partial payloads (messages are all-or-nothing, as MPI-level
 retransmission resends whole messages).  The run reports those losses
 in a :class:`FaultRunReport` instead of raising -- silent data loss is
 impossible by construction, loud diagnosis is the caller's job
-(:class:`repro.mpi.DeliveryError`).  ``t0`` offsets the engine onto the
-global fault clock so a retry started at ``t0`` experiences exactly the
-faults scheduled for ``[t0, ...)``.
+(:class:`repro.mpi.DeliveryError`; a :class:`PacketSimulator` run
+without a schedule raises :class:`SimulationError`).  ``t0`` offsets
+the engine onto the global fault clock so a retry started at ``t0``
+experiences exactly the faults scheduled for ``[t0, ...)``.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 
 from ..sim.events import EventQueue, SimulationError
 from ..sim.fluid import MessageRecord
-from ..sim.packet import PacketEngineStats, PacketResult, _segment_count
+from ..sim.packet import PacketEngineStats, PacketResult
 from .controller import HealingController, RepairAction
 from .schedule import FaultSchedule
 
@@ -87,7 +93,7 @@ class FaultRunReport:
 
 
 @dataclass
-class _FMsg:
+class _Msg:
     src: int
     dst: int
     size: float
@@ -101,7 +107,7 @@ class _FMsg:
 
 
 @dataclass
-class _FPacket:
+class _Packet:
     msg_id: int
     dst: int
     size: float
@@ -128,9 +134,10 @@ def run_faulty(
     """Run ``sequences`` under ``faults`` starting at global time ``t0``.
 
     Returns the :class:`PacketResult` (lost messages appear in
-    ``messages`` with ``finish == -1``; latencies/makespan cover
+    ``messages`` with ``finish == -1``; latencies/makespan/bytes cover
     deliveries only) and the :class:`FaultRunReport`.  Engine-local
-    time 0 corresponds to global time ``t0``.
+    time 0 corresponds to global time ``t0``.  On an empty schedule
+    this is the reference run of ``sim``.
     """
     fab = sim.fabric
     N = fab.num_endports
@@ -142,7 +149,9 @@ def run_faulty(
     tables_ref = [controller.tables_at(t0) if controller is not None
                   else sim.tables]
 
-    down = np.zeros(fab.num_ports, dtype=bool)
+    # Plain lists: the handlers below index them once per event.  A
+    # cable the fabric lacks is down for the whole run.
+    down = (fab.port_peer < 0).tolist()
     flaky: dict[int, float] = {}   # directed gport -> active loss prob
     rng = np.random.default_rng(np.random.SeedSequence(
         [faults.seed & 0xFFFFFFFF, int(attempt),
@@ -157,7 +166,7 @@ def run_faulty(
     host_pkts: dict[int, deque] = {p: deque() for p in range(N)}
     host_free = [0.0] * N
     seq_pos = [0] * N
-    messages: list[_FMsg] = []
+    messages: list[_Msg] = []
     applied: list[RepairAction] = []
     ctr = _Counters()
 
@@ -182,7 +191,7 @@ def run_faulty(
             return True
         return occupancy.get(send_gp, 0) < limit
 
-    def drop_packet(pkt: _FPacket, reason: str) -> None:
+    def drop_packet(pkt: _Packet, reason: str) -> None:
         ctr.dropped += 1
         msg = messages[pkt.msg_id]
         if msg.dropped == 0:
@@ -246,8 +255,8 @@ def run_faulty(
             ctr.pending_ports -= 1
             return
         dst, size = sequences[p][seq_pos[p]]
-        msg = _FMsg(src=p, dst=dst, size=size, start=q.now,
-                    seq_idx=seq_pos[p])
+        msg = _Msg(src=p, dst=dst, size=size, start=q.now,
+                   seq_idx=seq_pos[p])
         seq_pos[p] += 1
         t_start = max(q.now, host_free[p]) + cal.host_overhead
         msg_id = len(messages)
@@ -263,7 +272,7 @@ def run_faulty(
         msg.packets_left = len(pieces)
         for i, psize in enumerate(pieces):
             host_pkts[p].append(
-                _FPacket(msg_id, dst, psize, is_last=(i == len(pieces) - 1)))
+                _Packet(msg_id, dst, psize, is_last=(i == len(pieces) - 1)))
         host_free[p] = max(q.now, host_free[p]) + cal.host_overhead
         q.schedule(host_free[p], host_try_send, p)
 
@@ -305,7 +314,7 @@ def run_faulty(
             q.schedule(host_free[p], host_start_message, p)
 
     # -- switch side ------------------------------------------------------
-    def arrive(send_gp: int, pkt: _FPacket) -> None:
+    def arrive(send_gp: int, pkt: _Packet) -> None:
         tick()
         if down[send_gp]:
             drop_packet(pkt, "link cut in flight")
@@ -327,7 +336,7 @@ def run_faulty(
         if len(queue) == 1:
             request_output(("sw", node, send_gp))
 
-    def deliver(pkt: _FPacket) -> None:
+    def deliver(pkt: _Packet) -> None:
         msg = messages[pkt.msg_id]
         msg.packets_left -= 1
         if msg.packets_left == 0 and msg.dropped == 0:
@@ -362,7 +371,7 @@ def run_faulty(
             return
         transmit(node, in_gp, out, pkt)
 
-    def transmit(node: int, in_gp: int, out: int, pkt: _FPacket) -> None:
+    def transmit(node: int, in_gp: int, out: int, pkt: _Packet) -> None:
         in_queue[in_gp].popleft()
         start = max(q.now, pkt.ready)
         duration = pkt.size / cap[out]
@@ -445,7 +454,7 @@ def run_faulty(
     if stuck:
         raise SimulationError(
             f"{len(stuck)} messages neither delivered nor dropped "
-            "(deadlock in the fault engine)")
+            "(deadlock in the event core)")
 
     messages.sort(key=lambda m: (m.src, m.seq_idx))
     records = [
@@ -460,17 +469,15 @@ def run_faulty(
                     dropped_packets=m.dropped, reason=m.reason)
         for m in real if m.finish < 0
     )
-    makespan = max((m.finish for m in messages if m.finish >= 0),
-                   default=0.0)
-    lat = np.asarray([m.finish - m.start for m in delivered])
     stats = PacketEngineStats(
         engine="reference", fast_path=False, fallback=False,
         conflicts=0, messages=len(real),
-        packets=sum(_segment_count(m.size, cal.mtu) for m in real),
+        packets=sum(len(segment(m.size)) for m in real),
         events_saved=0,
     )
+    result = sim._finalize(records, sequences, stats)
     report = FaultRunReport(
-        t0=t0, end=t0 + makespan,
+        t0=t0, end=t0 + result.makespan,
         total_messages=len(real),
         delivered_messages=len(delivered),
         delivered_bytes=sum(m.size for m in delivered),
@@ -478,15 +485,5 @@ def run_faulty(
         lost=lost,
         repairs=tuple(applied),
     )
-    result = PacketResult(
-        makespan=makespan,
-        total_bytes=sum(m.size for m in delivered),
-        num_ports=N,
-        active_ports=sum(1 for s in sequences if s),
-        calibration=cal,
-        latencies=lat,
-        messages=records,
-        engine_stats=stats,
-        fault_report=report,
-    )
+    result.fault_report = report
     return result, report

@@ -226,7 +226,7 @@ class FaultSchedule:
         """Does any fault window intersect any link-occupancy interval?
 
         ``links``/``enter``/``exit_`` are the flat per-(message, hop)
-        occupancy arrays the vectorized engine collects.  Used to decide
+        occupancy arrays the wave calendar collects.  Used to decide
         whether an analytically resolved run could have been perturbed
         by this schedule: no intersection means no packet ever crossed a
         faulty link while the fault was active, so the fault-free

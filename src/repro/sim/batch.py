@@ -1,44 +1,77 @@
-"""Tensorized mega-batch packet engine: many scenarios, one NumPy program.
+"""The wave calendar: many packet scenarios advanced as one NumPy program.
 
-The vectorized engine (:mod:`repro.sim.packet_vector`) advances one
-scenario's wave calendar over flat ``(message x hop)`` arrays.  Every
-recurrence in :func:`~repro.sim.packet_vector._advance_wave` updates a
-row using only that row's state -- rows never interact -- so a *batch*
-axis folds straight into the row axis: the k-th messages of every port
-of every scenario form one mega-wave, and thousands of (fault schedule,
-ordering, placement, credit regime) variants advance as a single NumPy
-program.  Per-scenario Python overhead -- workload flattening, record
-objects, result finalisation, and above all the
-:class:`~repro.faults.controller.HealingController` repair
-precomputation -- is paid once per batch (or never: repairs are only
-computed for elements that actually need the event core).
+The event-driven core (:func:`repro.faults.packetsim.run_faulty`)
+spends one Python heap event per packet-hop (``ceil(size/MTU) x hops x
+~3`` events per message), which caps it at a few dozen end-ports.  This
+engine restructures the same model around three observations:
 
-Soundness is per element, exactly as in the unbatched engine:
+1. **An uncontended message is closed-form.**  When no other traffic
+   touches a message's links while it is in flight, every timestamp the
+   event engine would produce follows a short max-plus recurrence:
 
-* **conflicts** -- a conservative per-``(element, link)`` screen runs
-  inside the wave loop (same-wave link sharing, or an interval starting
-  before the latest earlier-wave exit on that link); screened-clean
-  elements provably have pairwise-disjoint occupancy intervals, and
-  flagged elements get the exact per-element scan.  Only elements whose
-  exact scan finds an overlap are demoted;
-* **faults** -- per element, the unbatched fault-plane checks run
-  verbatim: a live repair before the element's last delivery, or a
+   * injection: ``s[j,0] = max(f[j], rel[j-limit,0])`` with
+     ``f[j] = s[j-1,0] + d[j-1,0]`` (the host sends back-to-back unless
+     credit-blocked),
+   * switch hop ``h``: ``s[j,h] = max(a[j,h] + switch_lat,
+     s[j-1,h] + d[j-1,h], rel[j-limit,h])`` with arrival
+     ``a[j,h] = s[j,h-1] + wire_lat``,
+   * credit release: ``rel[j,h] = s[j,h+1] + d[j,h+1]`` (the slot on
+     link ``h`` frees when the packet's tail leaves the *next* link),
+   * delivery: ``fin = s[last,H-1] + wire_lat + size_last/cap[H-1]``.
+
+   Each ``max`` mirrors one guard in the event engine (output busy,
+   FIFO order, credit availability), so the recurrence reproduces the
+   event-core timestamps *bit for bit* -- same IEEE-754 operations in
+   the same order.
+
+2. **Messages in a wave are independent.**  Ports progress through
+   their sequences autonomously, so the *k*-th messages of all ports
+   (a "wave") advance together as NumPy operations over flat
+   ``(message x hop)`` arrays -- a bucketed calendar over wave epochs
+   instead of a heap over packet events.
+
+3. **Scenarios are independent too.**  Every recurrence updates a row
+   using only that row's state, so a *batch* axis folds straight into
+   the row axis: the k-th messages of every port of every scenario form
+   one mega-wave, and thousands of (fault schedule, ordering,
+   placement, credit regime) variants advance as a single program.
+   ``PacketSimulator(engine="vector")`` is a batch of one.  The
+   :class:`~repro.faults.controller.HealingController` repair
+   precomputation is only paid for elements that need the event core.
+
+Soundness is *checked, not assumed*, per element:
+
+* **routes** -- :func:`_route_matrix_masked` walks every message
+  through the tables; a row that hits a missing cable, an unrouted
+  destination or a loop demotes its element;
+* **budget** -- an element whose event core would exceed
+  ``max_events`` packet arrivals raises
+  ``SimulationError("packet event budget exhausted")``;
+* **conflicts** -- while advancing waves the engine records, per
+  message and link, the interval [first entry, last slot release]
+  during which the message occupies the link.  If two intervals on one
+  link overlap (within :data:`CONFLICT_MARGIN`), packets could have
+  interacted -- queued behind each other, stolen credits, blocked an
+  output -- and the element is demoted.  If none overlap, a
+  first-divergence induction gives that the event engine would never
+  have executed a contended guard either, so the analytic timestamps
+  are exact.  A conservative per-``(element, link)`` screen runs inside
+  the wave loop; only screened elements get the exact lexsorted scan,
+  which also counts the conflicting pairs;
+* **faults** -- a live repair before the element's last delivery, or a
   fault window intersecting the element's occupancy (a cheap
   min-enter/max-exit envelope prunes schedules that cannot intersect),
-  demotes that element only.  When ``sweep_delay`` is given instead of
-  a prebuilt controller, the earliest-swap time is computed from
-  schedule algebra alone -- the controller (and its repair BFS) is
-  built lazily, only for demoted elements;
-* **demotion** -- a demoted element reruns through
-  ``PacketSimulator(engine="vector")`` unbatched, which itself falls
-  back to the event-driven core when needed, so every element's result
-  is bit-identical to the one-scenario-at-a-time path, fast or not.
+  demotes the element.  With ``sweep_delay`` instead of a prebuilt
+  controller, the earliest-swap time comes from schedule algebra alone.
+
+A demoted element runs through the event core on its own, so every
+element's result is bit-identical to its solo run, fast or not.
 
 Results are lazy: :class:`BatchElement` holds array slices and computes
 ``makespan``/``latencies`` vectorized; the full
 :class:`~repro.sim.packet.PacketResult` (with per-message record
 objects) is materialised only on demand through the same
-``_finalize`` code path the unbatched engine uses.
+``PacketSimulator._finalize`` every packet run uses.
 """
 
 from __future__ import annotations
@@ -54,7 +87,6 @@ from .calibration import QDR_PCIE_GEN2, LinkCalibration
 from .events import SimulationError
 from .fluid import MessageRecord
 from .packet import PacketEngineStats, PacketResult, PacketSimulator
-from .packet_vector import CONFLICT_MARGIN, _advance_wave
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..collectives.cps import CPS
@@ -62,6 +94,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults.schedule import FaultSchedule
 
 __all__ = [
+    "CONFLICT_MARGIN",
     "INHERIT",
     "BatchElement",
     "BatchResult",
@@ -72,6 +105,13 @@ __all__ = [
     "ordering_batch",
     "run_batch",
 ]
+
+
+#: Two link-occupancy intervals closer than this (microseconds) are
+#: treated as interacting.  Generously above the event engine's 1e-12
+#: comparison epsilon and any accumulated float noise, and far below
+#: real scheduling gaps (which are >= a per-message overhead).
+CONFLICT_MARGIN = 1e-6
 
 
 class _Inherit:
@@ -217,6 +257,7 @@ class BatchElement:
         self._n_real = 0
         self._packets = 0
         self._events_saved = 0
+        self._conflicts = 0
 
     # -- vectorized metrics (no record objects) ------------------------
     @property
@@ -239,8 +280,8 @@ class BatchElement:
     def occupancy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fast-path link-occupancy intervals ``(links, enter, exit)``.
 
-        Only available for fast-path elements (the unbatched engine
-        discards them); frontends use these to reason about fault
+        Only available for fast-path elements (the event core has no
+        analytic intervals); frontends use these to reason about fault
         windows without re-simulating.
         """
         if self._occ is None:
@@ -251,12 +292,13 @@ class BatchElement:
 
     # -- full result ----------------------------------------------------
     def packet_result(self) -> PacketResult:
-        """The exact :class:`PacketResult` of the unbatched engine.
+        """The element's :class:`PacketResult`, identical to its solo
+        ``PacketSimulator`` run.
 
-        Fast-path elements materialise records through the same
-        ``_finalize`` the unbatched engine uses; demoted elements
-        return their stored fallback result; elements whose unbatched
-        run would have raised re-raise the same error here.
+        Fast-path elements materialise records through
+        ``PacketSimulator._finalize``; demoted elements return their
+        stored event-core result; elements whose run raised re-raise the
+        same error here.
         """
         if self._error is not None:
             raise self._error
@@ -276,8 +318,7 @@ class BatchElement:
             messages=self._n_real, packets=self._packets,
             events_saved=self._events_saved)
         sim = PacketSimulator(spec.tables, spec.calibration,
-                              credit_limit=spec.resolved_credit(self.index),
-                              max_events=spec.max_events)
+                              engine="reference")
         self._result = sim._finalize(records, seqs, stats)
         return self._result
 
@@ -306,16 +347,20 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# route walk with per-row anomaly masks
+# route walk, wave recurrence, conflict scan
 # ----------------------------------------------------------------------
 
 def _route_matrix_masked(
     tables: ForwardingTables, src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Like :func:`packet_vector._route_matrix` but per-row: anomalous
-    rows (dead cable, unrouted destination, loop) are flagged in
-    ``bad`` instead of failing the whole walk, so only the owning batch
-    elements are demoted."""
+    """Per-message link rows ``(R, max_links)``, route lengths and
+    anomaly flags.
+
+    Mirrors the event core: hosts inject on their rail-0 up port and
+    switches forward by the LFT.  Anomalous rows (dead cable, unrouted
+    destination, loop) are flagged in ``bad`` instead of failing the
+    whole walk, so only the owning batch elements are demoted -- the
+    event core owns the diagnosis."""
     fab = tables.fabric
     R = len(src)
     max_links = 2 * int(fab.node_level.max()) + 2
@@ -349,20 +394,98 @@ def _route_matrix_masked(
             nxt = nxt[~dead]
         cur[active] = nxt
         active = active[cur[active] != dst[active]]
-    bad[active] = True  # routing loop: let the reference engine diagnose
+    bad[active] = True  # routing loop: let the event core diagnose
     return links, length, bad
 
 
-def _element_has_conflict(la: np.ndarray, ea: np.ndarray,
-                          xa: np.ndarray) -> bool:
-    """Exact single-element scan: the unbatched engine's lexsorted
-    adjacent-overlap test (its ``conflicts > 0`` decision is exactly
-    'some pair of same-link intervals overlaps', which adjacency in
-    (link, enter) order detects iff it exists)."""
+def _advance_wave(cal, limit, f0, links, length, caps, pieces, last_size):
+    """Advance one wave of isolated messages through the recurrence.
+
+    All arrays are per-message rows (R messages).  Returns
+    ``(inject, finish, host_tail, enter, exit)`` where ``enter``/``exit``
+    bound each message's occupancy of each of its route links.
+    """
+    R = links.shape[0]
+    H = int(length.max())
+    links = links[:, :H]
+    caps = caps[:, :H]
+    mtu = float(cal.mtu)
+    wire = cal.wire_latency
+    swl = cal.switch_latency
+    pmax = int(pieces.max())
+
+    prev_tail = np.full((R, H), -np.inf)
+    enter = np.full((R, H), np.inf)
+    f = f0.astype(np.float64, copy=True)
+    inject = np.empty(R)
+    finish = np.empty(R)
+    ring = None
+    if limit is not None:
+        # rel[j-limit, h] lives in slot (j % limit): it is read for
+        # packet j at hop h just before packet j's hop h+1 overwrites it.
+        ring = np.full((R, H, limit), -np.inf)
+
+    for j in range(pmax):
+        pact = j < pieces
+        is_last = j == pieces - 1
+        psize = np.where(is_last, last_size, mtu)
+
+        # Hop 0: the host sends when the previous tail left the wire
+        # and (finite buffers) the leaf advertised a credit.
+        s = f
+        if ring is not None:
+            s = np.maximum(s, ring[:, 0, j % limit])
+        tail = s + psize / caps[:, 0]
+        if j == 0:
+            inject = s.copy()
+            enter[:, 0] = s
+        f = np.where(pact, tail, f)
+        prev_tail[:, 0] = np.where(pact, tail, prev_tail[:, 0])
+
+        s_prev = s
+        for h in range(1, H):
+            hact = pact & (h < length)
+            a = s_prev + wire
+            s = np.maximum(a + swl, prev_tail[:, h])
+            if ring is not None:
+                # The ejection link never blocks on credits (the host
+                # drains unconditionally): mask the final hop out.
+                cr = np.where(h < length - 1, ring[:, h, j % limit], -np.inf)
+                s = np.maximum(s, cr)
+            tail_h = s + psize / caps[:, h]
+            if ring is not None:
+                ring[:, h - 1, j % limit] = np.where(
+                    hact, tail_h, ring[:, h - 1, j % limit])
+            prev_tail[:, h] = np.where(hact, tail_h, prev_tail[:, h])
+            enter[:, h] = np.where(hact, np.minimum(enter[:, h], a),
+                                   enter[:, h])
+            fin_mask = hact & is_last & (h == length - 1)
+            if fin_mask.any():
+                # Cut-through delivery: header reaches the host a wire
+                # latency after the ejection transmit starts, the tail
+                # one serialisation later.
+                deliver = (s + wire) + psize / caps[:, h]
+                finish = np.where(fin_mask, deliver, finish)
+            s_prev = s
+
+    exit_ = prev_tail.copy()
+    if ring is not None:
+        # With finite buffers a message still owns a slot on link h
+        # until its tail clears link h+1.
+        for h in range(H - 1):
+            exit_[:, h] = np.maximum(exit_[:, h], prev_tail[:, h + 1])
+    return inject, finish, f, enter, exit_
+
+
+def _element_conflicts(la: np.ndarray, ea: np.ndarray,
+                       xa: np.ndarray) -> int:
+    """Exact single-element scan: adjacent overlapping intervals in
+    (link, enter) order.  Nonzero exactly when some pair of same-link
+    intervals overlaps, since adjacency detects a pair iff one exists."""
     order = np.lexsort((ea, la))
     ls, es, xs = la[order], ea[order], xa[order]
     overlap = (ls[1:] == ls[:-1]) & (es[1:] < xs[:-1] + CONFLICT_MARGIN)
-    return bool(overlap.any())
+    return int(overlap.sum())
 
 
 def _earliest_swap(el: ScenarioSpec) -> float:
@@ -431,8 +554,8 @@ class _Flat:
 def _flatten_element(el: ScenarioSpec, num_endports: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]:
-    """(src, dst, size, wave) rows of one element, in the exact
-    row-major (port, seq) order ``run_vectorized`` flattens to."""
+    """(src, dst, size, wave) rows of one element, in row-major
+    (port, seq) order -- the event core's record order."""
     if el.sequences is not None:
         src_l: list[int] = []
         dst_l: list[int] = []
@@ -462,7 +585,7 @@ def _flatten_element(el: ScenarioSpec, num_endports: int
 def run_batch(spec: BatchSpec) -> BatchResult:
     """Advance every element of ``spec`` through the folded wave
     calendar; demote only the elements whose analytic fast path is
-    unsound, each to its own unbatched (bit-identical) run."""
+    unsound, each to its own event-core (bit-identical) run."""
     tables = spec.tables
     fab = tables.fabric
     N = fab.num_endports
@@ -496,29 +619,34 @@ def run_batch(spec: BatchSpec) -> BatchResult:
         group_members[g].append(i)
 
     caps_full = PacketSimulator(
-        tables, spec.calibration, max_events=spec.max_events
-    )._link_capacities()
+        tables, spec.calibration, engine="reference")._link_capacities()
 
     for limit, members in zip(group_keys, group_members):
         _run_group(spec, limit, members, caps_full, out, stats)
 
-    # Demoted elements: unbatched runs, in original element order.
+    # Demoted elements: event-core runs, in original element order.
     for e in out:
         if e.status != "fallback":
             continue
         el = spec.elements[e.index]
-        seqs = el.materialize_sequences(N)
-        sim = PacketSimulator(
-            tables, spec.calibration,
-            credit_limit=spec.resolved_credit(e.index),
-            max_events=spec.max_events, engine="vector",
-            faults=el.faults, healing=_lazy_healing(tables, el))
         try:
-            e._result = sim.run_sequences(seqs)
+            if e.reason == "budget":
+                raise SimulationError("packet event budget exhausted")
+            sim = PacketSimulator(
+                tables, spec.calibration,
+                credit_limit=spec.resolved_credit(e.index),
+                max_events=spec.max_events, engine="reference",
+                faults=el.faults, healing=_lazy_healing(tables, el))
+            e._result = sim._run_event_core(el.materialize_sequences(N))
         except SimulationError as err:
             e._error = err
             e.status = "error"
             stats.errors += 1
+            continue
+        e._result.engine_stats = PacketEngineStats(
+            engine="vector", fast_path=False, fallback=True,
+            conflicts=e._conflicts, messages=e._n_real,
+            packets=e._packets, events_saved=0)
     stats.fast_path = sum(1 for e in out if e.status == "fast")
     stats.events_saved = sum(e._events_saved for e in out
                              if e.status == "fast")
@@ -581,8 +709,6 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
         parts = [_flatten_element(el, N) for el in specs]
         counts0 = np.asarray([len(p[0]) for p in parts], dtype=np.int64)
         elem = np.repeat(np.arange(Bg, dtype=np.int64), counts0)
-        if len(elem) == 0:
-            return  # every element empty: all trivially fast
         src = np.concatenate([p[0] for p in parts])
         dst = np.concatenate([p[1] for p in parts])
         size = np.concatenate([p[2] for p in parts])
@@ -591,11 +717,17 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
         return  # every element empty: all trivially fast
     real = (src != dst) & (size > 0)
 
-    # Segmentation: identical element-wise formulas to run_vectorized.
+    # Segmentation: element-wise the event core's segment().
     full, rest = np.divmod(size, mtu)
     pieces = full.astype(np.int64) + (rest > 1e-12)
     pieces = np.maximum(pieces, 1)
     last_size = np.where(rest > 1e-12, rest, np.where(full >= 1, mtu, size))
+    n_real = np.bincount(elem[real], minlength=Bg)
+    packets = np.bincount(elem[real], weights=pieces[real], minlength=Bg)
+    for g in range(Bg):
+        e = out[members[g]]
+        e._n_real = int(n_real[g])
+        e._packets = int(packets[g])
 
     links, length, bad = _route_matrix_masked(tables, src[real], dst[real])
     elem_ok = np.ones(Bg, dtype=bool)
@@ -604,8 +736,7 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
             _demote(out[members[int(g)]], "route", stats)
             elem_ok[int(g)] = False
 
-    # Event budget, per element (mirrors the pre-wave check; elements
-    # already demoted for routing never reach it unbatched either).
+    # Event budget, per element: the event core's packet-arrival count.
     ev_rows = (pieces[real] * length).astype(np.float64)
     ev_per_elem = np.bincount(elem[real], weights=ev_rows, minlength=Bg)
     over = elem_ok & (ev_per_elem > spec.max_events)
@@ -770,13 +901,9 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
     nz = counts > 0
     if nz.any():
         makespan[nz] = np.maximum.reduceat(finish, offsets[:-1][nz])
-    n_real = np.bincount(flat.elem[flat.real], minlength=Bg)
-    packets = np.bincount(flat.elem[flat.real],
-                          weights=flat.pieces[flat.real].astype(np.float64),
-                          minlength=Bg)
     has_ivals = np.bincount(ie, minlength=Bg) > 0
-    # The reference engine's arrival-event count (pieces x hops) every
-    # fast element avoids, on the compressed arrays.
+    # The event core's arrival-event count (pieces x hops) every fast
+    # element avoids, on the compressed arrays.
     ev_saved = np.bincount(flat.elem[flat.real],
                            weights=(flat.pieces[flat.real]
                                     * flat.length).astype(np.float64),
@@ -791,8 +918,9 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
             continue
         i0, i1 = int(ibounds[g]), int(ibounds[g + 1])
         if flagged[g]:
-            if _element_has_conflict(la_s[i0:i1], ea_s[i0:i1],
-                                     xa_s[i0:i1]):
+            e._conflicts = _element_conflicts(la_s[i0:i1], ea_s[i0:i1],
+                                              xa_s[i0:i1])
+            if e._conflicts:
                 _demote(e, "conflict", stats)
                 continue
         el = spec.elements[members[g]]
@@ -839,8 +967,6 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
         e._inject = inject[lo:hi]
         e._finish = finish[lo:hi]
         e._makespan = float(makespan[g])
-        e._n_real = int(n_real[g])
-        e._packets = int(packets[g])
         e._events_saved = int(ev_saved[g])
         e._occ = (la_s[i0:i1], ea_s[i0:i1], xa_s[i0:i1])
 

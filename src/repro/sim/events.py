@@ -1,18 +1,11 @@
 """Minimal discrete-event simulation core.
 
-A deterministic event queue shared by the fluid and packet simulators:
-events fire in (time, sequence) order, so equal-time events run in
-scheduling order and runs are exactly reproducible.
-
-Two draining styles are supported:
-
-* :meth:`EventQueue.step` / :meth:`EventQueue.run` -- the classic one
-  event at a time loop;
-* :meth:`EventQueue.pop_batch` -- calendar-style draining that pops
-  *every* event sharing the earliest timestamp in one call, so engines
-  that can advance a whole epoch with vector operations (the vectorized
-  packet engine's wave calendar) amortise the queue overhead across the
-  batch.
+A deterministic event queue shared by the fluid simulator and the
+event-driven packet core: events fire in (time, sequence) order, so
+equal-time events run in scheduling order and runs are exactly
+reproducible.  :meth:`EventQueue.step` runs one event;
+:meth:`EventQueue.run` drains the queue.  (The packet engine's wave
+calendar, :mod:`repro.sim.batch`, needs no queue at all.)
 """
 
 from __future__ import annotations
@@ -59,10 +52,6 @@ class EventQueue:
         """Schedule ``callback(*args)`` after ``delay`` time units."""
         self.schedule(self.now + delay, callback, *args)
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the earliest pending event (None when empty)."""
-        return self._heap[0][0] if self._heap else None
-
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
         if not self._heap:
@@ -71,26 +60,6 @@ class EventQueue:
         self.now = when
         callback(*args)
         return True
-
-    def pop_batch(self) -> list[tuple[Callable, tuple]]:
-        """Pop every event sharing the earliest timestamp, advance the
-        clock to it, and return the ``(callback, args)`` pairs in
-        scheduling order *without* executing them.
-
-        Callers that process whole same-time batches with vector
-        operations (rather than one Python callback per event) use this
-        as the bucketed-calendar primitive; determinism is unchanged
-        because within a batch the scheduling order is preserved.
-        """
-        if not self._heap:
-            return []
-        when = self._heap[0][0]
-        self.now = when
-        batch: list[tuple[Callable, tuple]] = []
-        while self._heap and self._heap[0][0] == when:
-            _, _, callback, args = heapq.heappop(self._heap)
-            batch.append((callback, args))
-        return batch
 
     def run(
         self,

@@ -15,20 +15,25 @@ stalls, and the stall propagates -- the *tree saturation* that makes
 sustained hot spots so damaging for large messages.  ``credit_limit=None``
 gives infinite buffers (pure queueing delay, no back-pressure).
 
-Two engines produce bit-identical results:
+:class:`PacketSimulator` is a front end over two engines that produce
+bit-identical results:
 
-* ``engine="vector"`` (default) -- the struct-of-arrays engine in
-  :mod:`repro.sim.packet_vector`: messages are bucketed into wave
-  epochs (the *k*-th message of every port) and each epoch is advanced
-  with NumPy recurrences over flat per-hop arrays; whenever the
-  per-link occupancy intervals of the run are pairwise disjoint (the
-  contention-free configurations the paper engineers for) the whole
-  run is resolved analytically -- one vector pass instead of
-  ``ceil(size/MTU) x hops`` heap events per message.  When intervals
-  do overlap the engine transparently falls back to the event-driven
-  core, so results are *always* exactly those of the reference engine.
-* ``engine="reference"`` -- the original per-packet heap-event engine,
-  kept as the semantic ground truth for differential testing.
+* ``engine="vector"`` (default) -- :func:`repro.sim.batch.run_batch` on
+  a one-element batch: the wave calendar resolves the run analytically
+  whenever the per-link occupancy intervals are pairwise disjoint (the
+  contention-free configurations the paper engineers for) and no fault
+  window touches them, and otherwise demotes it to the event core, so
+  results are *always* exactly those of the reference engine.
+* ``engine="reference"`` -- the event-driven core,
+  :func:`repro.faults.packetsim.run_faulty`, on an empty schedule when
+  none is given: one heap event per packet-hop, the semantic ground
+  truth for differential testing.
+
+Every run's result comes from :meth:`PacketSimulator._finalize`.
+Without a fault schedule a lost message is an error: a packet routed
+into a cable the fabric lacks raises :class:`SimulationError` naming the
+message.  Under a schedule, losses are reported in
+:attr:`PacketResult.fault_report` instead.
 
 Remaining simplifications vs. real InfiniBand: a single virtual lane,
 FIFO (not VOQ) inputs, FCFS output arbitration.  With the vectorized
@@ -38,7 +43,6 @@ reference engine remains practical up to a few dozen end-ports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from ..fabric.lft import ForwardingTables
 from .calibration import LinkCalibration, QDR_PCIE_GEN2
-from .events import EventQueue, SimulationError
+from .events import SimulationError
 from .fluid import MessageRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,33 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults.schedule import FaultSchedule
 
 __all__ = ["PacketSimulator", "PacketResult", "PacketEngineStats"]
-
-
-def _segment_count(size: float, mtu: int) -> int:
-    """Number of MTU pieces ``segment()`` produces for ``size`` bytes."""
-    full, rest = divmod(size, mtu)
-    return int(full) + (1 if rest > 1e-12 or full == 0 else 0)
-
-
-@dataclass
-class _Packet:
-    msg_id: int
-    dst: int
-    size: float          # bytes, <= MTU
-    is_last: bool
-    ready: float = 0.0   # earliest forward time at the current switch
-
-
-@dataclass
-class _MsgState:
-    src: int
-    dst: int
-    size: float
-    start: float
-    seq_idx: int = 0     # position within the source port's sequence
-    inject: float = -1.0
-    finish: float = -1.0
-    packets_left: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,7 +89,7 @@ class PacketResult:
     latencies: np.ndarray = field(default_factory=lambda: np.empty(0))
     messages: list[MessageRecord] = field(default_factory=list)
     engine_stats: PacketEngineStats | None = None
-    #: set when the run was executed under a fault schedule; lost
+    #: set when the event core ran under a fault schedule; lost
     #: messages then appear in ``messages`` with ``finish == -1`` and
     #: are excluded from ``latencies``/``makespan``/``total_bytes``.
     fault_report: "FaultRunReport | None" = None
@@ -187,21 +164,21 @@ class PacketSimulator:
         self,
         records: list[MessageRecord],
         sequences: list[list[tuple[int, float]]],
-        stats: PacketEngineStats | None,
+        stats: PacketEngineStats,
     ) -> PacketResult:
         """Build a :class:`PacketResult` from canonically ordered records.
 
         ``records`` must be sorted by (source port, sequence position) --
         both engines emit this order, so metric arrays compare
-        element-wise across engines.
+        element-wise across engines.  Lost messages (``finish == -1``)
+        count toward no metric.
         """
-        total = sum(m.size for m in records)
-        lat = np.asarray([m.finish - m.start for m in records
+        done = [m for m in records if m.finish >= 0]
+        lat = np.asarray([m.finish - m.start for m in done
                           if m.size > 0 and m.src != m.dst])
-        makespan = max((m.finish for m in records), default=0.0)
         return PacketResult(
-            makespan=makespan,
-            total_bytes=total,
+            makespan=max((m.finish for m in done), default=0.0),
+            total_bytes=sum(m.size for m in done),
             num_ports=self.fabric.num_endports,
             active_ports=sum(1 for s in sequences if s),
             calibration=self.cal,
@@ -219,241 +196,38 @@ class PacketSimulator:
         N = self.fabric.num_endports
         if len(sequences) != N:
             raise ValueError(f"need {N} sequences, got {len(sequences)}")
+        if self.engine == "reference":
+            return self._run_event_core(sequences)
+        from .batch import BatchSpec, ScenarioSpec, run_batch
 
-        fault_mode = self.faults is not None and not self.faults.is_empty()
-        if self.engine == "vector":
-            from .packet_vector import run_vectorized
+        batch = run_batch(BatchSpec(
+            tables=self.tables,
+            elements=[ScenarioSpec(sequences=sequences, faults=self.faults,
+                                   healing=self.healing)],
+            calibration=self.cal, credit_limit=self.credit_limit,
+            max_events=self.max_events))
+        return batch.packet_result(0)
 
-            records, stats = run_vectorized(self, sequences)
-            if records is not None:
-                # Fast path: with faults present this means no fault
-                # window intersected any link occupancy, so the
-                # fault-free analytic timestamps are exact.
-                return self._finalize(records, sequences, stats)
-            # Link occupancy intervals overlap (or intersect a fault
-            # window): messages interact, so defer to the event-driven
-            # core for exact arbitration.
-            result = self._run_faulty(sequences) if fault_mode \
-                else self._run_reference(sequences)
-            result.engine_stats = PacketEngineStats(
-                engine="vector", fast_path=False, fallback=True,
-                conflicts=stats.conflicts, messages=stats.messages,
-                packets=stats.packets, events_saved=0,
-            )
-            return result
-        if fault_mode:
-            return self._run_faulty(sequences)
-        return self._run_reference(sequences)
-
-    def _run_faulty(self, sequences) -> PacketResult:
-        from ..faults.packetsim import run_faulty
-
-        result, _ = run_faulty(self, sequences, self.faults, self.healing)
-        return result
-
-    # -- reference (per-packet heap event) engine --------------------------
-    def _run_reference(
+    def _run_event_core(
         self, sequences: list[list[tuple[int, float]]]
     ) -> PacketResult:
-        fab = self.fabric
-        N = fab.num_endports
+        """The event-driven core on this simulator's fault schedule (an
+        empty one when none was given).  Without a schedule any lost
+        message raises :class:`SimulationError`; with one, losses are
+        reported in ``fault_report``."""
+        from ..faults.packetsim import run_faulty
+        from ..faults.schedule import FaultSchedule
 
-        q = EventQueue()
-        cal = self.cal
-        limit = self.credit_limit
-
-        # Buffers are keyed by the *sending* global port id (1:1 with the
-        # receiving port via port_peer, so this is just a naming choice).
-        in_queue: dict[int, deque] = {}      # send-gport -> deque[_Packet]
-        occupancy: dict[int, int] = {}       # send-gport -> packets buffered
-        out_busy: dict[int, float] = {}      # out-gport -> free time
-        out_wait: dict[int, deque] = {}      # out-gport -> deque[sender]
-        credit_wait: dict[int, deque] = {}   # send-gport -> deque[sender]
-        # A "sender" is ("sw", node, in_gport) or ("host", p).
-
-        host_pkts: dict[int, deque] = {p: deque() for p in range(N)}
-        host_free = [0.0] * N
-        seq_pos = [0] * N
-        messages: list[_MsgState] = []
-        self._events = 0
-
-        cap = self._link_capacities()
-
-        def segment(size: float) -> list[float]:
-            full, rest = divmod(size, cal.mtu)
-            sizes = [float(cal.mtu)] * int(full)
-            if rest > 1e-12 or not sizes:
-                sizes.append(float(rest) if rest > 1e-12 else float(size))
-            return sizes
-
-        def has_credit(send_gp: int) -> bool:
-            if limit is None:
-                return True
-            # Credits only meter buffers in front of *switches*; the
-            # destination host drains unconditionally (PCIe-limited,
-            # modelled by the ejection link capacity).
-            if fab.peer_node[send_gp] < N:
-                return True
-            return occupancy.get(send_gp, 0) < limit
-
-        # -- host side -----------------------------------------------------
-        def host_start_message(p: int) -> None:
-            if seq_pos[p] >= len(sequences[p]):
-                return
-            dst, size = sequences[p][seq_pos[p]]
-            msg = _MsgState(src=p, dst=dst, size=size, start=q.now,
-                            seq_idx=seq_pos[p])
-            seq_pos[p] += 1
-            t0 = max(q.now, host_free[p]) + cal.host_overhead
-            msg_id = len(messages)
-            messages.append(msg)
-            if dst == p or size <= 0:
-                msg.inject = t0
-                msg.finish = t0
-                host_free[p] = t0
-                q.schedule(t0, host_start_message, p)
-                return
-            pieces = segment(size)
-            msg.packets_left = len(pieces)
-            for i, psize in enumerate(pieces):
-                host_pkts[p].append(
-                    _Packet(msg_id, dst, psize, is_last=(i == len(pieces) - 1))
-                )
-            host_free[p] = max(q.now, host_free[p]) + cal.host_overhead
-            q.schedule(host_free[p], host_try_send, p)
-
-        def host_try_send(p: int) -> None:
-            if not host_pkts[p]:
-                return
-            gp = int(fab.port_start[p])  # single-rail up port
-            if q.now < host_free[p] - 1e-12:
-                q.schedule(host_free[p], host_try_send, p)
-                return
-            if not has_credit(gp):
-                credit_wait.setdefault(gp, deque()).append(("host", p))
-                return
-            pkt = host_pkts[p].popleft()
-            msg = messages[pkt.msg_id]
-            if msg.inject < 0:
-                msg.inject = q.now
-            duration = pkt.size / cap[gp]
-            occupancy[gp] = occupancy.get(gp, 0) + 1
-            q.schedule(q.now + cal.wire_latency, arrive, gp, pkt)
-            host_free[p] = q.now + duration
-            if host_pkts[p]:
-                q.schedule(host_free[p], host_try_send, p)
-            elif pkt.is_last:
-                # Next message once the tail left the wire.
-                q.schedule(host_free[p], host_start_message, p)
-
-        # -- switch side -----------------------------------------------------
-        def arrive(send_gp: int, pkt: _Packet) -> None:
-            """Packet header arrives at the node behind ``send_gp``."""
-            self._tick()
-            node = int(fab.peer_node[send_gp])
-            if node < N:
-                tail = q.now + pkt.size / cap[send_gp]
-                q.schedule(tail, deliver, pkt)
-                return
-            pkt.ready = q.now + cal.switch_latency
-            queue = in_queue.setdefault(send_gp, deque())
-            queue.append(pkt)
-            if len(queue) == 1:
-                request_output(("sw", node, send_gp))
-
-        def deliver(pkt: _Packet) -> None:
-            msg = messages[pkt.msg_id]
-            msg.packets_left -= 1
-            if msg.packets_left == 0:
-                msg.finish = q.now
-
-        def request_output(sender) -> None:
-            """Try to move the sender's head packet; park it on the
-            appropriate wait list otherwise."""
-            if sender[0] == "host":
-                host_try_send(sender[1])
-                return
-            _, node, in_gp = sender
-            queue = in_queue.get(in_gp)
-            if not queue:
-                return
-            pkt = queue[0]
-            out = int(self.tables.out_port(node, pkt.dst))
-            if out < 0:
-                raise SimulationError(f"unrouted destination {pkt.dst}")
-            if out_busy.get(out, 0.0) > q.now + 1e-12:
-                out_wait.setdefault(out, deque()).append(sender)
-                return
-            if not has_credit(out):
-                credit_wait.setdefault(out, deque()).append(sender)
-                return
-            transmit(node, in_gp, out, pkt)
-
-        def transmit(node: int, in_gp: int, out: int, pkt: _Packet) -> None:
-            in_queue[in_gp].popleft()
-            start = max(q.now, pkt.ready)
-            duration = pkt.size / cap[out]
-            out_busy[out] = start + duration
-            occupancy[out] = occupancy.get(out, 0) + 1
-            q.schedule(start + cal.wire_latency, arrive, out, pkt)
-            q.schedule(start + duration, output_free, out)
-            # The input buffer slot frees once the tail passed through.
-            q.schedule(start + duration, release_credit, in_gp)
-            if in_queue[in_gp]:
-                q.schedule(start + duration, request_output,
-                           ("sw", node, in_gp))
-
-        def output_free(out: int) -> None:
-            # Offer the output to waiting senders; credit-blocked ones
-            # move over to the credit wait list and the next is tried.
-            # (Hosts own a dedicated link and never wait on out_busy.)
-            waiting = out_wait.get(out)
-            while waiting:
-                sender = waiting.popleft()
-                _, node, in_gp = sender
-                queue = in_queue.get(in_gp)
-                if not queue:
-                    continue
-                pkt = queue[0]
-                if has_credit(out):
-                    transmit(node, in_gp, out, pkt)
-                    return
-                credit_wait.setdefault(out, deque()).append(sender)
-
-        def release_credit(send_gp: int) -> None:
-            occupancy[send_gp] = occupancy.get(send_gp, 1) - 1
-            waiting = credit_wait.get(send_gp)
-            if waiting:
-                request_output(waiting.popleft())
-
-        for p in range(N):
-            if sequences[p]:
-                q.schedule(0.0, host_start_message, p)
-        q.run(max_events=self.max_events)
-
-        unfinished = [m for m in messages if m.finish < 0]
-        if unfinished:
+        if self.faults is not None:
+            result, _ = run_faulty(self, sequences, self.faults, self.healing)
+            return result
+        result, report = run_faulty(self, sequences, FaultSchedule())
+        if report.lost:
+            m = report.lost[0]
+            what = (f"unrouted destination {m.dst}"
+                    if m.reason == "no route" else m.reason)
             raise SimulationError(
-                f"{len(unfinished)} messages never finished "
-                "(deadlock or event budget)"
-            )
-        messages.sort(key=lambda m: (m.src, m.seq_idx))
-        records = [
-            MessageRecord(m.src, m.dst, m.size, m.start,
-                          float(m.inject), float(m.finish))
-            for m in messages
-        ]
-        real = [m for m in messages if m.size > 0 and m.src != m.dst]
-        result = self._finalize(records, sequences, None)
-        result.engine_stats = PacketEngineStats(
-            engine="reference", fast_path=False, fallback=False,
-            conflicts=0, messages=len(real),
-            packets=sum(_segment_count(m.size, cal.mtu) for m in real),
-            events_saved=0,
-        )
+                f"message {m.src}->{m.dst} (#{m.seq} of port {m.src}) "
+                f"lost: {what}")
+        result.fault_report = None
         return result
-
-    def _tick(self) -> None:
-        self._events += 1
-        if self._events > self.max_events:
-            raise SimulationError("packet event budget exhausted")

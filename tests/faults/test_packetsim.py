@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.fabric import ForwardingTables, build_fabric
 from repro.faults import FaultEvent, FaultSchedule, HealingController, run_faulty
 from repro.faults.schedule import FLAKY, LINK_DOWN, LINK_UP, SWITCH_DOWN
+from repro.routing import route_dmodk
 from repro.routing.validate import trace_route
-from repro.sim import PacketSimulator
+from repro.sim import PacketSimulator, SimulationError
+from repro.topology import pgft
 
 
 def _ring_seqs(n, size=4096.0):
@@ -227,3 +230,72 @@ class TestValidation:
         hc = HealingController(fig1_tables, FaultSchedule())
         with pytest.raises(ValueError, match="without a fault schedule"):
             PacketSimulator(fig1_tables, healing=hc)
+
+
+def _stale_tables():
+    """The 16-port RLFT with one leaf-to-spine cable cut but the
+    pre-cut tables kept: some routes walk into the missing cable."""
+    spec = pgft(2, [4, 4], [1, 4], [1, 1])
+    fab = build_fabric(spec)
+    base = route_dmodk(fab)
+    up = np.flatnonzero(fab.port_goes_up()
+                        & (fab.port_owner >= fab.num_endports))
+    dead = build_fabric(spec).with_failed_cables(np.asarray([int(up[0])]))
+    return ForwardingTables(fabric=dead, switch_out=base.switch_out,
+                            host_up=base.host_up)
+
+
+class TestDeadCable:
+    """A cable the fabric lacks is a link that is down from t=0."""
+
+    def _all_to_all(self, n):
+        return [[((p + k) % n, 8192.0) for k in range(1, n)]
+                for p in range(n)]
+
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
+    def test_loss_without_schedule_raises(self, engine):
+        tables = _stale_tables()
+        seqs = self._all_to_all(tables.fabric.num_endports)
+        sim = PacketSimulator(tables, engine=engine)
+        with pytest.raises(SimulationError, match=r"message \d+->\d+ .*"
+                                                  r"lost: link down"):
+            sim.run_sequences(seqs)
+
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
+    def test_loss_under_schedule_is_reported(self, engine):
+        tables = _stale_tables()
+        n = tables.fabric.num_endports
+        seqs = self._all_to_all(n)
+        res = PacketSimulator(tables, engine=engine,
+                              faults=FaultSchedule()).run_sequences(seqs)
+        rep = res.fault_report
+        assert rep is not None
+        assert rep.total_messages == n * (n - 1)
+        assert 0 < len(rep.lost) < rep.total_messages
+        assert {m.reason for m in rep.lost} == {"link down"}
+        assert rep.delivered_messages + len(rep.lost) == rep.total_messages
+        flagged = {(m.src, m.dst) for m in res.messages if m.finish < 0}
+        assert flagged == {(m.src, m.dst) for m in rep.lost}
+
+
+class TestOneResultBuilder:
+    """Fault-free and fault-plane runs account bytes the same way."""
+
+    def test_self_sends_counted_under_a_harmless_schedule(self):
+        tables = route_dmodk(build_fabric(pgft(2, [4, 4], [1, 4], [1, 1])))
+        n = tables.fabric.num_endports
+        seqs = [[(p, 4096.0), ((p + 1) % n, 4096.0)] for p in range(n)]
+        gp = _cut_gport(tables, 3, 4)
+        harmless = FaultSchedule(events=(
+            FaultEvent(time=0.0, kind=FLAKY, gport=gp, until=1e6,
+                       loss=1e-12),))
+        clean = PacketSimulator(tables).run_sequences(seqs)
+        flaky = PacketSimulator(tables, faults=harmless).run_sequences(seqs)
+        assert flaky.engine_stats.fallback  # the event core ran
+        assert clean.fault_report is None
+        assert flaky.fault_report is not None
+        assert flaky.fault_report.lost == ()
+        assert flaky.total_bytes == clean.total_bytes == 2 * n * 4096.0
+        assert flaky.normalized_bandwidth == clean.normalized_bandwidth
+        assert flaky.makespan == clean.makespan
+        assert flaky.messages == clean.messages

@@ -1,13 +1,14 @@
-"""Mega-batch engine vs the unbatched vector engine: bit-identical
-per element.
+"""Mega-batch engine vs solo runs: bit-identical per element.
 
 The batch engine (``repro.sim.batch``) folds many scenarios into one
 wave calendar but promises the *same* per-element results as running
-``PacketSimulator(engine="vector")`` once per scenario -- fast path,
-demoted, or error alike.  The suite mixes fast and demoted elements in
-one batch (conflicts, fault overlaps, route anomalies, event budgets,
-credit regimes, empty workloads) and checks full result equality:
-makespan, latency array, per-message records, and engine stats.
+``PacketSimulator(engine="vector")`` (a batch of one) once per scenario
+-- fast path, demoted, or error alike -- and the same observable
+results as the event-driven core, ``PacketSimulator(engine="reference")``.
+The suite mixes fast and demoted elements in one batch (conflicts, fault
+overlaps, route anomalies, event budgets, credit regimes, empty
+workloads) and checks full result equality: makespan, latency array,
+per-message records, and engine stats.
 """
 
 import math
@@ -43,14 +44,15 @@ def tables16():
     return route_dmodk(build_fabric(pgft(2, [4, 4], [1, 4], [1, 1])))
 
 
-def unbatched(tables, el, *, credit_limit=None, max_events=5_000_000):
+def unbatched(tables, el, *, credit_limit=None, max_events=5_000_000,
+              engine="vector"):
     n = tables.fabric.num_endports
     cl = credit_limit if isinstance(el.credit_limit, type(INHERIT)) \
         else el.credit_limit
     from repro.sim.batch import _lazy_healing
 
     sim = PacketSimulator(tables, credit_limit=cl, max_events=max_events,
-                          engine="vector", faults=el.faults,
+                          engine=engine, faults=el.faults,
                           healing=_lazy_healing(tables, el))
     return sim.run_sequences(el.materialize_sequences(n))
 
@@ -68,7 +70,8 @@ def assert_result_identical(got, ref):
 
 
 def assert_batch_matches(spec: BatchSpec):
-    """Every element of a batch equals its one-scenario-at-a-time run."""
+    """Every element of a batch equals its one-scenario-at-a-time run,
+    and its observable results equal the event core's."""
     res = run_batch(spec)
     assert len(res) == len(spec.elements)
     for i, e in enumerate(res.elements):
@@ -89,6 +92,12 @@ def assert_batch_matches(spec: BatchSpec):
         # the cheap array metrics agree with the materialised result
         assert e.makespan == ref.makespan
         assert np.array_equal(e.latencies, ref.latencies)
+        core = unbatched(spec.tables, el, credit_limit=spec.credit_limit,
+                         max_events=spec.max_events, engine="reference")
+        assert got.messages == core.messages
+        assert got.makespan == core.makespan
+        assert np.array_equal(got.latencies, core.latencies)
+        assert got.total_bytes == core.total_bytes
     return res
 
 

@@ -108,24 +108,3 @@ def test_past_tolerance_small_times_unchanged():
     q.schedule(1.0 - 1e-12, lambda: None)  # inside tolerance
     with pytest.raises(SimulationError):
         q.schedule(1.0 - 1e-6, lambda: None)
-
-
-def test_pop_batch_drains_equal_times_in_order():
-    q = EventQueue()
-    log = []
-    q.schedule(2.0, log.append, "late")
-    for tag in "abc":
-        q.schedule(1.0, log.append, tag)
-    batch = q.pop_batch()
-    assert q.now == 1.0
-    assert [args[0] for _, args in batch] == ["a", "b", "c"]
-    for cb, args in batch:
-        cb(*args)
-    assert log == ["a", "b", "c"]
-    assert len(q) == 1 and q.peek_time() == 2.0
-
-
-def test_pop_batch_empty_queue():
-    q = EventQueue()
-    assert q.pop_batch() == []
-    assert q.peek_time() is None

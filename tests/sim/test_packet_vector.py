@@ -1,6 +1,6 @@
 """Vectorized packet engine vs event-driven reference: bit-identical.
 
-The vector engine (``repro.sim.packet_vector``) is a reimplementation
+The vector engine (``repro.sim.batch``, a batch of one) is a reimplementation
 of the packet model, not an approximation: on every run it must either
 produce the *exact* float timestamps the reference core would (fast
 path, proven conflict-free), or detect the conflict and fall back to
