@@ -54,7 +54,7 @@ from ..routing.repair import (
 from .common import colliding_pairs_payload, link_loc
 from .diagnostics import Diagnostic, DiagnosticReport, Loc
 from .passes import CheckContext, CheckPass
-from .symbolic import CaseState, SymbolicCertifier, _sparse_loads
+from .symbolic import CaseState, SymbolicCertifier, _member, _sparse_loads
 
 __all__ = [
     "FAULT_UNIT_KINDS",
@@ -337,70 +337,36 @@ class _SweepIndex:
     """CSR-style index over a healthy case's cached closed-form links.
 
     Built once per (CPS, placement) from a ``keep_links``-certified
-    :class:`CaseState`; each :meth:`recertify` call is then a pure delta:
-    dead-cable lookup, one batched walk of the detoured flows through
-    the repaired tables, and sparse count arithmetic.  Requires the
-    healthy case to be contention-free (every cached per-link count is
-    at most 1); the general
-    :meth:`SymbolicCertifier.recertify_link_failure` handles the rest.
+    :class:`CaseState`, whose flat link loads it reads directly; each
+    :meth:`recertify` call is then a pure delta: dead-cable lookup, one
+    batched walk of the detoured flows through the repaired tables, and
+    sparse count arithmetic.  Requires the healthy case to be
+    contention-free (every cached per-link count is at most 1); the
+    general :meth:`SymbolicCertifier.recertify_link_failure` handles the
+    rest.
     """
 
-    def __init__(self, state: CaseState, num_ports: int) -> None:
-        stages = state.stages
-        if any(st.gports is None for st in stages):
+    def __init__(self, state: CaseState) -> None:
+        if state.flow_idx is None or state.gports is None:
             raise ValueError("sweep index needs certify(keep_links=True)")
-        self.num_ports = int(num_ports)
         self.state = state
-        self.stage_labels = [st.label for st in state.cps.stages]
-        self.old_max = np.array(
-            [int(st.link_counts.max()) if len(st.link_counts) else 0
-             for st in stages], dtype=np.int64)
+        P = state.num_ports
+        num_stages = len(state.cps.stages)
+        link_stage = state.link_keys // P
+        self.old_max = np.zeros(num_stages, dtype=np.int64)
+        np.maximum.at(self.old_max, link_stage, state.link_counts)
         if self.old_max.size and self.old_max.max() > 1:
             raise ValueError("sweep index requires a contention-free "
                              "healthy case (use the general recertifier)")
-        self.n_links = np.array([len(st.link_ids) for st in stages],
-                                dtype=np.int64)
-        # flows per stage, with global offsets so (stage, flow) flattens
-        flow_lens = np.array([len(st.src) for st in stages], dtype=np.int64)
-        self.flow_off = np.concatenate([[0], np.cumsum(flow_lens)])
-        self.all_src = np.concatenate(
-            [st.src for st in stages]) if flow_lens.sum() else \
-            np.empty(0, dtype=np.int64)
-        self.all_dst = np.concatenate(
-            [st.dst for st in stages]) if flow_lens.sum() else \
-            np.empty(0, dtype=np.int64)
-        self.total_flows = int(flow_lens.sum())
-        # flat (stage, flow, gport) traversal entries
-        entry_stage = np.concatenate(
-            [np.full(len(st.gports), s, dtype=np.int64)
-             for s, st in enumerate(stages)]) if stages else \
-            np.empty(0, dtype=np.int64)
-        entry_flow = np.concatenate(
-            [st.flow_idx for st in stages]) if stages else \
-            np.empty(0, dtype=np.int64)
-        entry_g = np.concatenate(
-            [st.gports for st in stages]) if stages else \
-            np.empty(0, dtype=np.int64)
-        # view 1: sorted by gport (dead cable -> touched entries)
-        order_g = np.argsort(entry_g, kind="stable")
-        self.g_sorted = entry_g[order_g]
-        self.g_stage = entry_stage[order_g]
-        self.g_flow = entry_flow[order_g]
-        # view 2: sorted by flattened (stage, flow) (flow -> its links)
-        self.fk_width = int(flow_lens.max()) + 1 if len(flow_lens) else 1
-        fk = entry_stage * self.fk_width + entry_flow
-        order_f = np.argsort(fk, kind="stable")
-        self.fk_sorted = fk[order_f]
-        self.fk_g = entry_g[order_f]
-        # sparse old counts keyed by stage * num_ports + gport (sorted by
-        # construction: stages ascend, per-stage link_ids are sorted)
-        self.cnt_keys = np.concatenate(
-            [s * self.num_ports + st.link_ids
-             for s, st in enumerate(stages)]) if stages else \
-            np.empty(0, dtype=np.int64)
-        self.cnt_vals = np.concatenate(
-            [st.link_counts for st in stages]) if stages else \
-            np.empty(0, dtype=np.int64)
+        self.n_links = np.bincount(link_stage, minlength=num_stages)
+        # view 1: traversal sorted by gport (dead cable -> crossing flows)
+        order_g = np.argsort(state.gports, kind="stable")
+        self.g_sorted = state.gports[order_g]
+        self.g_flow = state.flow_idx[order_g]
+        # view 2: traversal sorted by flow (flow -> its links)
+        order_f = np.argsort(state.flow_idx, kind="stable")
+        self.f_sorted = state.flow_idx[order_f]
+        self.f_g = state.gports[order_f]
 
     def _expand(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         lens = hi - lo
@@ -420,74 +386,61 @@ class _SweepIndex:
         engine bit for bit: same maxima, same offending link (lowest
         gport at the max count), same colliding-pair payload.
         """
-        P = self.num_ports
+        st = self.state
+        P = st.num_ports
         dead = np.asarray(sorted(dead_gports), dtype=np.int64)
         lo = np.searchsorted(self.g_sorted, dead, side="left")
         hi = np.searchsorted(self.g_sorted, dead, side="right")
         sel = self._expand(lo, hi)
         if not len(sel):
             return self.old_max.tolist(), None, 0, 0
-        # the (stage, flow) pairs whose healthy path crossed a dead cable
-        aff = np.unique(self.g_stage[sel] * self.fk_width + self.g_flow[sel])
-        aff_stage = aff // self.fk_width
-        aff_flow = aff % self.fk_width
-        touched = int(len(np.unique(aff_stage)))
+        # the flows whose healthy path crossed a dead cable
+        aff = _sparse_loads(self.g_flow[sel])[0]
+        aff_stage = st.stage[aff]
+        touched = int(len(_sparse_loads(aff_stage)[0]))
         # links those flows used (the subtraction side of the delta)
-        fl = np.searchsorted(self.fk_sorted, aff, side="left")
-        fh = np.searchsorted(self.fk_sorted, aff, side="right")
-        take = self._expand(fl, fh)
-        sub_key = (self.fk_sorted[take] // self.fk_width) * P \
-            + self.fk_g[take]
+        take = self._expand(np.searchsorted(self.f_sorted, aff, side="left"),
+                            np.searchsorted(self.f_sorted, aff, side="right"))
+        sub_key = st.stage[self.f_sorted[take]] * P + self.f_g[take]
         # one batched walk of every detoured flow through the repair
-        glob = self.flow_off[aff_stage] + aff_flow
-        wfi, wg = walk_flow_links(repaired_tables, self.all_src[glob],
-                                  self.all_dst[glob])
+        wfi, wg = walk_flow_links(repaired_tables, st.src[aff], st.dst[aff])
         add_key = aff_stage[wfi] * P + wg
         # sparse count update on the union of delta links
-        uk = np.unique(np.concatenate([sub_key, add_key]))
-        pos = np.searchsorted(self.cnt_keys, uk)
-        pos_ok = (pos < len(self.cnt_keys))
+        uk = _sparse_loads(np.concatenate([sub_key, add_key]))[0]
+        known = _member(uk, st.link_keys)
         old_c = np.zeros(len(uk), dtype=np.int64)
-        safe = pos.copy()
-        safe[~pos_ok] = 0
-        match = pos_ok & (self.cnt_keys[safe] == uk)
-        old_c[match] = self.cnt_vals[safe[match]]
-        new_c = old_c.copy()
-        np.subtract.at(new_c, np.searchsorted(uk, sub_key), 1)
-        np.add.at(new_c, np.searchsorted(uk, add_key), 1)
+        old_c[known] = st.link_counts[np.searchsorted(st.link_keys,
+                                                      uk[known])]
+        new_c = old_c - np.bincount(np.searchsorted(uk, sub_key),
+                                    minlength=len(uk))
+        new_c += np.bincount(np.searchsorted(uk, add_key), minlength=len(uk))
         d_stage = uk // P
         # per-stage new maximum: the unchanged links keep count <= 1, and
         # at least one of them survives iff the stage has more links than
         # delta links that existed before the fault
         maxima = self.old_max.copy()
-        exist = np.zeros(len(self.old_max), dtype=np.int64)
-        np.add.at(exist, d_stage[old_c > 0], 1)
+        exist = np.bincount(d_stage[old_c > 0], minlength=len(maxima))
         base = (self.n_links > exist).astype(np.int64)
-        dmax = np.zeros(len(self.old_max), dtype=np.int64)
+        dmax = np.zeros(len(maxima), dtype=np.int64)
         np.maximum.at(dmax, d_stage, new_c)
-        ts = np.unique(d_stage)
+        ts = _sparse_loads(d_stage)[0]
         maxima[ts] = np.maximum(base[ts], dmax[ts])
         violation: dict[str, Any] | None = None
         bad = np.flatnonzero(maxima > 1)
         if len(bad):
             s = int(bad[0])
-            in_s = d_stage == s
-            cand_g = (uk % P)[in_s & (new_c == maxima[s])]
-            gp = int(cand_g.min())
+            gp = int((uk % P)[(d_stage == s) & (new_c == maxima[s])].min())
             # colliding flows: healthy users of the link minus detoured
             # flows, plus detoured flows whose repaired walk lands on it
             j0 = int(np.searchsorted(self.g_sorted, gp, side="left"))
             j1 = int(np.searchsorted(self.g_sorted, gp, side="right"))
-            on_stage = self.g_stage[j0:j1] == s
-            old_flows = self.g_flow[j0:j1][on_stage]
-            aff_in_s = aff_flow[aff_stage == s]
-            old_keep = old_flows[~np.isin(old_flows, aff_in_s)]
-            new_hit = aff_flow[wfi[(wg == gp) & (aff_stage[wfi] == s)]]
-            on_link = np.unique(np.concatenate(
-                [old_keep, new_hit])).astype(np.int64)
-            st = self.state.stages[s]
+            old_flows = self.g_flow[j0:j1]
+            old_flows = old_flows[st.stage[old_flows] == s]
+            old_keep = old_flows[~_member(old_flows, aff)]
+            new_hit = aff[wfi[(wg == gp) & (aff_stage[wfi] == s)]]
+            on_link = _sparse_loads(np.concatenate([old_keep, new_hit]))[0]
             violation = {
-                "stage": s, "stage_label": self.stage_labels[s],
+                "stage": s, "stage_label": st.cps.stages[s].label,
                 "gport": gp, "link_load": int(maxima[s]),
                 **colliding_pairs_payload(st.src, st.dst, on_link),
             }
@@ -647,7 +600,7 @@ def certify_prepared(tables: ForwardingTables,
                     "healthy schedule is already refuted; the fault-space "
                     "delta engine needs a contention-free baseline "
                     "(use engine='cold')")
-        index = _SweepIndex(healthy_state, tables.fabric.num_ports)
+        index = _SweepIndex(healthy_state)
     result = FaultSpaceResult(
         records=[], engine=engine, strategy=prepared[0].repair.strategy
         if prepared else "", cps_name=cps.name,

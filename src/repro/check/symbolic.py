@@ -40,11 +40,18 @@ whose pairs or routing indices changed, and a repaired single cable
 only the flows whose residue profile maps onto that cable
 (:meth:`SymbolicCertifier.recertify` /
 :meth:`SymbolicCertifier.recertify_link_failure`).
+
+A case is one flat :class:`CaseState` keyed by stage: eq. (1) runs
+over all stages' flows at once, a placement delta is one multiset
+difference over the whole case, and all refuted stages'
+counterexamples come out of one sort-based pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Any
 
 import numpy as np
@@ -52,7 +59,7 @@ import numpy as np
 from ..analysis.hsd import walk_flow_links
 from ..collectives.cps import CPS
 from ..fabric.lft import ForwardingTables
-from ..collectives.schedule import stage_flow_keys, stage_flows
+from ..collectives.schedule import case_flows
 from ..routing.dmodk import dense_ranks, q_profile
 from ..runtime.cache import active_digest, cps_digest, spec_digest
 from ..topology.spec import PGFTSpec
@@ -77,6 +84,11 @@ __all__ = [
 ]
 
 _UNSET = object()
+
+#: flows per closed-form evaluation block of a whole case: big enough to
+#: amortise NumPy call overhead over many small stages, small enough to
+#: keep the temporaries cache-sized on big stages
+_BLOCK = 1 << 15
 
 
 # ----------------------------------------------------------------------
@@ -164,11 +176,17 @@ def symbolic_flow_links(
     return np.concatenate(flows), np.concatenate(ports)
 
 
-def _sparse_loads(gports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique link ids + flow counts (sparse per-link loads)."""
-    if len(gports) == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    return np.unique(gports, return_counts=True)
+def _sparse_loads(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys + multiplicities (sparse per-link loads).
+    Sort-based like the other set kernels: NumPy's hash-based integer
+    ``unique``/``isin`` paths are far slower than a plain sort here."""
+    s = np.sort(np.asarray(keys, dtype=np.int64))
+    first = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if len(starts) == len(s):   # all distinct: the contention-free case
+        return s, np.ones(len(s), dtype=np.int64)
+    return s[starts], np.diff(starts, append=len(s))
 
 
 def symbolic_class_loads(
@@ -199,7 +217,7 @@ def symbolic_class_loads(
     if len(flow_class) and (flow_class.min() < 0 or flow_class.max() >= C):
         raise ValueError("flow_class references a class index out of range")
     flow_idx, gports = symbolic_flow_links(spec, src, dst, ridx)
-    links = np.unique(gports)
+    links = _sparse_loads(gports)[0]
     if len(links) == 0:
         return links, np.zeros((C, 0), dtype=np.int64)
     col = np.searchsorted(links, gports)
@@ -303,34 +321,34 @@ def canonical_peer(spec: PGFTSpec, gport: int) -> int:
 # Certifier with incremental state
 # ----------------------------------------------------------------------
 @dataclass
-class _StageState:
-    """Per-stage residue-class summary kept for incremental deltas.
-
-    ``flow_idx``/``gports`` are the raw per-link traversal arrays
-    (``certify(..., keep_links=True)``): with them cached, a
-    link-failure delta touches only ``np.isin`` lookups -- no
-    closed-form re-evaluation at all -- which is what makes a whole
-    fault-space sweep cost deltas rather than cold certifications.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    link_ids: np.ndarray      # sorted unique link gports
-    link_counts: np.ndarray   # flows per link (parallel to link_ids)
-    flow_idx: np.ndarray | None = None   # cached traversal (optional)
-    gports: np.ndarray | None = None
-
-
-@dataclass
 class CaseState:
     """Everything :meth:`SymbolicCertifier.recertify` needs to re-verify
-    only what a delta touched."""
+    only what a delta touched, flat over the whole case.
+
+    ``src``/``dst``/``stage`` list every stage's flows, stage-major;
+    ``link_keys`` are the sorted distinct ``stage * num_ports + gport``
+    links they cross, ``link_counts`` the flows per link.  The optional
+    raw traversal ``flow_idx``/``gports`` (``keep_links=True``) makes a
+    link-failure delta pure lookups.
+    """
 
     cps: CPS
     placement: np.ndarray
     active: np.ndarray | None
     ridx: np.ndarray
-    stages: list[_StageState] = field(default_factory=list)
+    num_ports: int
+    src: np.ndarray
+    dst: np.ndarray
+    stage: np.ndarray
+    link_keys: np.ndarray
+    link_counts: np.ndarray
+    flow_idx: np.ndarray | None = None   # cached traversal (optional)
+    gports: np.ndarray | None = None
+
+    @cached_property
+    def cps_digest(self) -> str:
+        """Digest of :attr:`cps`, hashed once per state."""
+        return cps_digest(self.cps)
 
 
 @dataclass
@@ -366,45 +384,77 @@ class SymbolicResult:
         return "vacuous" if self.total_flows == 0 else "contention-free"
 
 
-def _occurrence_keys(values: np.ndarray, scale: int) -> np.ndarray:
-    """Key each element by ``(value, occurrence ordinal)`` so multiset
-    differences can be taken with plain set membership.  ``scale`` must
-    exceed any occurrence count on either side."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]]) if len(sv) else \
-        np.empty(0, dtype=np.int64)
-    runs = np.diff(np.r_[starts, len(sv)])
-    occ = np.arange(len(sv), dtype=np.int64) - np.repeat(starts, runs)
-    keys = np.empty(len(sv), dtype=np.int64)
-    keys[order] = sv * scale + occ
-    return keys
+_Pair = tuple[np.ndarray, np.ndarray]
 
 
-def _multiset_delta(a: np.ndarray, b: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of ``a`` entries absent from ``b`` and vice versa, counting
-    multiplicity (an element occurring twice in ``a`` and once in ``b``
-    has exactly one ``a`` occurrence marked removed)."""
-    scale = max(len(a), len(b)) + 1
-    ka = _occurrence_keys(a, scale)
-    kb = _occurrence_keys(b, scale)
-    return ~np.isin(ka, kb), ~np.isin(kb, ka)
+def _member(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.isin(values, table)`` for a sorted ``table``, by bisection."""
+    if len(table) == 0:
+        return np.zeros(len(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    return table[pos] == values
 
 
-def _apply_delta(ids: np.ndarray, counts: np.ndarray,
-                 sub: np.ndarray, add: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge link-multiset deltas into a sparse (ids, counts) summary."""
-    if len(sub) == 0 and len(add) == 0:
-        return ids, counts
-    all_ids = np.unique(np.concatenate([ids, add]))
-    c = np.zeros(len(all_ids), dtype=np.int64)
-    c[np.searchsorted(all_ids, ids)] = counts
-    np.add.at(c, np.searchsorted(all_ids, add), 1)
-    np.subtract.at(c, np.searchsorted(all_ids, sub), 1)
-    keep = c > 0
-    return all_ids[keep], c[keep]
+def _surplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask over sorted ``a`` of the multiset difference ``a - b``
+    (``b`` sorted): the ``k``-th copy of a value is surplus iff ``b``
+    holds fewer than ``k`` copies of it."""
+    if len(a) == len(b) and np.array_equal(a, b):
+        return np.zeros(len(a), dtype=bool)
+    occ = np.arange(len(a)) - np.searchsorted(a, a, side="left")
+    have = (np.searchsorted(b, a, side="right")
+            - np.searchsorted(b, a, side="left"))
+    return occ >= have
+
+
+def _concat(parts: Iterable[_Pair]) -> _Pair:
+    items = list(parts)
+    if not items:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return (np.concatenate([a for a, _ in items]),
+            np.concatenate([b for _, b in items]))
+
+
+def _case_links(spec: PGFTSpec, src: np.ndarray, dst: np.ndarray,
+                stage: np.ndarray, ridx: np.ndarray) -> Iterator[_Pair]:
+    """Lazy :func:`symbolic_flow_links` of stage-major flows, one
+    ``(flow_idx, gports)`` pair per stage-aligned ``~_BLOCK``-flow block."""
+    F = len(stage)
+    bounds = np.r_[np.flatnonzero(np.r_[True, stage[1:] != stage[:-1]]), F]
+    cuts = _sparse_loads(np.r_[
+        bounds[np.searchsorted(bounds, np.arange(0, F, _BLOCK))], F])[0]
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        fi, gp = symbolic_flow_links(spec, src[lo:hi], dst[lo:hi], ridx)
+        yield fi + lo, gp
+
+
+def _block_loads(blocks: Iterable[_Pair], stage: np.ndarray,
+                 num_ports: int) -> _Pair:
+    """Sparse link loads of :func:`_case_links` blocks (stage-aligned, so
+    their sorted loads concatenate sorted)."""
+    return _concat([_sparse_loads(stage[fi] * num_ports + gp)
+                    for fi, gp in blocks])
+
+
+def _apply_delta(keys: np.ndarray, counts: np.ndarray,
+                 sub: _Pair, add: _Pair) -> _Pair:
+    """Merge sparse link-load deltas into a sparse (keys, counts)
+    summary: ``sub`` loads leave, ``add`` loads arrive."""
+    (su, sc), (au, ac) = sub, add
+    if len(su) == 0 and len(au) == 0:
+        return keys, counts
+    delta = _sparse_loads(np.concatenate([su, au]))[0]
+    net = np.zeros(len(delta), dtype=np.int64)
+    net[np.searchsorted(delta, au)] += ac
+    net[np.searchsorted(delta, su)] -= sc
+    pos = np.searchsorted(keys, delta)
+    old = _member(delta, keys)
+    counts = counts.copy()
+    counts[pos[old]] += net[old]
+    keys = np.insert(keys, pos[~old], delta[~old])
+    counts = np.insert(counts, pos[~old], net[~old])
+    keep = counts > 0
+    return keys[keep], counts[keep]
 
 
 class SymbolicCertifier:
@@ -427,47 +477,75 @@ class SymbolicCertifier:
     def certify(self, cps: CPS, placement: np.ndarray,
                 keep_links: bool = False) -> tuple[SymbolicResult, CaseState]:
         """Certify one case; ``keep_links`` additionally caches the raw
-        per-stage traversal arrays in the returned state so subsequent
+        traversal arrays in the returned state so subsequent
         :meth:`recertify_link_failure` calls are pure delta lookups."""
         placement = np.asarray(placement, dtype=np.int64)
-        state = CaseState(cps=cps, placement=placement.copy(),
-                          active=self.active, ridx=self.ridx)
-        maxima: list[int] = []
+        src, dst, stage = case_flows(cps, placement)
+        num_ports = self.spec.num_ports
+        links = _case_links(self.spec, src, dst, stage, self.ridx)
+        blocks = list(links) if keep_links else links
+        keys, counts = _block_loads(blocks, stage, num_ports)
+        state = CaseState(
+            cps=cps, placement=placement.copy(), active=self.active,
+            ridx=self.ridx, num_ports=num_ports, src=src, dst=dst,
+            stage=stage, link_keys=keys, link_counts=counts)
+        if keep_links:
+            state.flow_idx, state.gports = _concat(blocks)
+        return self._verdict(state), state
+
+    def _links(self, state: CaseState, stages: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form traversal of the flows of the flagged stages (the
+        whole cached traversal when the state kept its links)."""
+        if state.flow_idx is not None and state.gports is not None:
+            return state.flow_idx, state.gports
+        sel = np.flatnonzero(stages[state.stage])
+        fi, gp = _concat(_case_links(self.spec, state.src[sel],
+                                     state.dst[sel], state.stage[sel],
+                                     state.ridx))
+        return sel[fi], gp
+
+    def _verdict(self, state: CaseState,
+                 traverse: Callable[[np.ndarray], _Pair] | None = None,
+                 ) -> SymbolicResult:
+        """Per-stage maxima and every refuted stage's counterexample;
+        ``traverse(stages)`` covers the flagged stages' flows."""
+        P = state.num_ports
+        keys, counts = state.link_keys, state.link_counts
+        num_stages = len(state.cps.stages)
+        # stage s owns the sorted keys in seg[s]:seg[s + 1]
+        seg = np.searchsorted(keys, np.arange(num_stages + 1) * P)
+        used = seg[:-1] < seg[1:]
+        maxima = np.zeros(num_stages, dtype=np.int64)
+        maxima[used] = np.maximum.reduceat(counts, seg[:-1][used])
         violations: list[dict[str, Any]] = []
-        total_flows = 0
-        for i, st in enumerate(cps):
-            src, dst = stage_flows(st, placement)
-            if len(src) == 0:
-                maxima.append(0)
-                state.stages.append(_StageState(
-                    src=src, dst=dst,
-                    link_ids=np.empty(0, dtype=np.int64),
-                    link_counts=np.empty(0, dtype=np.int64)))
-                continue
-            total_flows += len(src)
-            flow_idx, gports = symbolic_flow_links(self.spec, src, dst,
-                                                   self.ridx)
-            ids, counts = _sparse_loads(gports)
-            state.stages.append(_StageState(
-                src=src, dst=dst, link_ids=ids, link_counts=counts,
-                flow_idx=flow_idx if keep_links else None,
-                gports=gports if keep_links else None))
-            stage_max = int(counts.max()) if len(counts) else 0
-            maxima.append(stage_max)
-            if stage_max <= 1:
-                continue
-            # ids are sorted, so the first maximal count names the lowest
-            # offending gport -- the same link the enumerated certifier's
-            # dense argmax reports.
-            gp = int(ids[int(np.argmax(counts))])
-            on_link = np.unique(flow_idx[gports == gp])
-            violations.append({
-                "stage": i, "stage_label": st.label, "gport": gp,
-                "link_load": stage_max,
-                **colliding_pairs_payload(src, dst, on_link),
-            })
-        return SymbolicResult(maxima=maxima, violations=violations,
-                              total_flows=total_flows), state
+        bad = maxima > 1
+        if bad.any():
+            # keys are sorted, so each refuted stage's first maximal
+            # count names its lowest offending gport -- the same link the
+            # enumerated certifier's dense argmax reports
+            worst = np.array([
+                keys[seg[s] + int(np.argmax(counts[seg[s]:seg[s + 1]]))]
+                for s in np.flatnonzero(bad).tolist()], dtype=np.int64)
+            fi, gp = (traverse or partial(self._links, state))(bad)
+            entry = state.stage[fi] * P + gp
+            on = _member(entry, worst)
+            F = len(state.src)
+            # the flows on each worst link, grouped by link, ascending
+            flows = _sparse_loads(np.searchsorted(worst, entry[on]) * F
+                                  + fi[on])[0]
+            cuts = np.searchsorted(flows, np.arange(len(worst) + 1) * F)
+            for j, key in enumerate(worst.tolist()):
+                s = key // P
+                violations.append({
+                    "stage": s, "stage_label": state.cps.stages[s].label,
+                    "gport": key % P, "link_load": int(maxima[s]),
+                    **colliding_pairs_payload(
+                        state.src, state.dst,
+                        flows[cuts[j]:cuts[j + 1]] - j * F),
+                })
+        return SymbolicResult(maxima=maxima.tolist(), violations=violations,
+                              total_flows=len(state.src))
 
     # -- placement / active-set deltas ---------------------------------
     def recertify(self, state: CaseState,
@@ -479,12 +557,12 @@ class SymbolicCertifier:
         ``placement`` replaces the rank->port vector (``None`` keeps the
         old one); ``active`` replaces the job's active end-port set
         (omit to keep, pass ``None`` for fully populated).  Flows whose
-        (src, dst) pair survives the delta with an unchanged destination
-        routing index keep their residue classes -- their links are
-        carried over from ``state`` instead of being recomputed.
+        (stage, src, dst) key survives the delta with an unchanged
+        destination routing index keep their residue classes -- their
+        links are carried over from ``state`` instead of being
+        recomputed.
         """
-        spec = self.spec
-        N = spec.num_endports
+        N = self.spec.num_endports
         new_placement = state.placement if placement is None else \
             np.asarray(placement, dtype=np.int64)
         if active is _UNSET:
@@ -493,55 +571,46 @@ class SymbolicCertifier:
             new_active = None if active is None else np.unique(
                 np.asarray(active, dtype=np.int64))
             new_ridx = dense_ranks(N, new_active)
-        ridx_changed = state.ridx != new_ridx
-
-        new_state = CaseState(cps=state.cps, placement=new_placement.copy(),
-                              active=new_active, ridx=new_ridx)
-        stats = IncrementalStats(stages_total=len(state.cps.stages))
-        maxima: list[int] = []
-        violations: list[dict[str, Any]] = []
-        total_flows = 0
-        for i, st in enumerate(state.cps):
-            old = state.stages[i]
-            src, dst = stage_flows(st, new_placement)
-            total_flows += len(src)
-            stats.flows_total += len(src)
-            sub_mask, add_mask = _multiset_delta(
-                stage_flow_keys(old.src, old.dst, N),
-                stage_flow_keys(src, dst, N))
-            # a surviving pair whose destination re-ranked still moves
-            sub_mask |= ridx_changed[old.dst] if len(old.dst) else False
-            add_mask |= ridx_changed[dst] if len(dst) else False
-            if not sub_mask.any() and not add_mask.any():
-                ids, counts = old.link_ids, old.link_counts
-            else:
-                stats.stages_touched += 1
-                stats.flows_recomputed += int(sub_mask.sum())
-                stats.flows_recomputed += int(add_mask.sum())
-                _, sub = symbolic_flow_links(
-                    spec, old.src[sub_mask], old.dst[sub_mask], state.ridx)
-                _, add = symbolic_flow_links(
-                    spec, src[add_mask], dst[add_mask], new_ridx)
-                ids, counts = _apply_delta(old.link_ids, old.link_counts,
-                                           sub, add)
-            new_state.stages.append(_StageState(src=src, dst=dst,
-                                                link_ids=ids,
-                                                link_counts=counts))
-            stage_max = int(counts.max()) if len(counts) else 0
-            maxima.append(stage_max)
-            if stage_max > 1:
-                gp = int(ids[int(np.argmax(counts))])
-                flow_idx, gports = symbolic_flow_links(spec, src, dst,
-                                                       new_ridx)
-                on_link = np.unique(flow_idx[gports == gp])
-                violations.append({
-                    "stage": i, "stage_label": st.label, "gport": gp,
-                    "link_load": stage_max,
-                    **colliding_pairs_payload(src, dst, on_link),
-                })
-        result = SymbolicResult(maxima=maxima, violations=violations,
-                                total_flows=total_flows)
+        src, dst, stage = case_flows(state.cps, new_placement)
+        old = np.sort((state.stage * N + state.src) * N + state.dst)
+        new = np.sort((stage * N + src) * N + dst)
+        # a surviving flow whose destination re-ranked still moves
+        moved = state.ridx != new_ridx
+        sub = old[_surplus(old, new) | moved[old % N]]
+        add = new[_surplus(new, old) | moved[new % N]]
+        P = state.num_ports
+        cold = 2 * len(sub) > len(old)
+        if cold:  # most flows moved: recounting the new case is cheaper
+            blocks = list(_case_links(self.spec, src, dst, stage, new_ridx))
+            keys, counts = _block_loads(blocks, stage, P)
+        else:
+            keys, counts = _apply_delta(
+                state.link_keys, state.link_counts,
+                self._key_loads(sub, state.ridx, P),
+                self._key_loads(add, new_ridx, P))
+        new_state = CaseState(
+            cps=state.cps, placement=new_placement.copy(),
+            active=new_active, ridx=new_ridx, num_ports=P,
+            src=src, dst=dst, stage=stage, link_keys=keys,
+            link_counts=counts)
+        stats = IncrementalStats(
+            stages_touched=len(_sparse_loads(
+                np.concatenate([sub, add]) // (N * N))[0]),
+            stages_total=len(state.cps.stages),
+            flows_recomputed=len(sub) + len(add), flows_total=len(src))
+        result = self._verdict(new_state,
+                               (lambda _: _concat(blocks)) if cold else None)
         return result, new_state, stats
+
+    def _key_loads(self, flow_keys: np.ndarray, ridx: np.ndarray,
+                   num_ports: int) -> _Pair:
+        """Sparse link loads of flows given as sorted ``(stage, src,
+        dst)`` keys."""
+        N = self.spec.num_endports
+        stage, pair = np.divmod(flow_keys, N * N)
+        src, dst = np.divmod(pair, N)
+        return _block_loads(_case_links(self.spec, src, dst, stage, ridx),
+                            stage, num_ports)
 
     # -- single-link failure -------------------------------------------
     def recertify_link_failure(self, state: CaseState,
@@ -560,68 +629,44 @@ class SymbolicCertifier:
 
         When ``state`` carries cached traversals
         (``certify(..., keep_links=True)``) the delta needs no
-        closed-form evaluation at all: affected flows come from an
-        ``isin`` over the cache, and a refuted stage's counterexample is
-        reconstructed from cache + repaired-walk delta -- the flows on
-        the offending link are the unaffected flows whose healthy path
-        already used it plus the detoured flows whose repaired path
-        lands on it (repair locality guarantees those are all of them).
+        closed-form evaluation at all.  A refuted stage's counterexample
+        is reconstructed from traversal + repaired-walk delta -- the
+        flows on the offending link are the unaffected flows whose
+        healthy path already used it plus the detoured flows whose
+        repaired path lands on it (repair locality guarantees those are
+        all of them).
         """
-        spec = self.spec
+        P = state.num_ports
         dead = np.atleast_1d(np.asarray(dead_gports, dtype=np.int64))
-        both = np.unique(np.concatenate(
-            [dead, np.array([canonical_peer(spec, int(g)) for g in dead],
-                            dtype=np.int64)]))
-        stats = IncrementalStats(stages_total=len(state.cps.stages))
-        maxima: list[int] = []
-        violations: list[dict[str, Any]] = []
-        total_flows = 0
-        for i, st in enumerate(state.cps):
-            old = state.stages[i]
-            src, dst = old.src, old.dst
-            total_flows += len(src)
-            stats.flows_total += len(src)
-            hit = np.isin(old.link_ids, both)
-            add_fi = add = aff = None
-            if not hit.any():
-                ids, counts = old.link_ids, old.link_counts
-            else:
-                stats.stages_touched += 1
-                if old.gports is not None and old.flow_idx is not None:
-                    flow_idx, gports = old.flow_idx, old.gports
-                else:
-                    flow_idx, gports = symbolic_flow_links(spec, src, dst,
-                                                           state.ridx)
-                aff = np.unique(flow_idx[np.isin(gports, both)])
-                stats.flows_recomputed += len(aff)
-                on = np.isin(flow_idx, aff)
-                sub = gports[on]
-                add_fi, add = walk_flow_links(repaired_tables,
-                                              src[aff], dst[aff])
-                ids, counts = _apply_delta(old.link_ids, old.link_counts,
-                                           sub, add)
-            stage_max = int(counts.max()) if len(counts) else 0
-            maxima.append(stage_max)
-            if stage_max > 1:
-                gp = int(ids[int(np.argmax(counts))])
-                if aff is not None and old.gports is not None \
-                        and old.flow_idx is not None:
-                    keep = ~np.isin(old.flow_idx, aff)
-                    on_old = old.flow_idx[keep][old.gports[keep] == gp]
-                    on_new = aff[add_fi[add == gp]] \
-                        if add_fi is not None else np.empty(0, dtype=np.int64)
-                    on_link = np.unique(np.concatenate([on_old, on_new]))
-                else:
-                    flow_idx, gports = walk_flow_links(repaired_tables,
-                                                       src, dst)
-                    on_link = np.unique(flow_idx[gports == gp])
-                violations.append({
-                    "stage": i, "stage_label": st.label, "gport": gp,
-                    "link_load": stage_max,
-                    **colliding_pairs_payload(src, dst, on_link),
-                })
-        return SymbolicResult(maxima=maxima, violations=violations,
-                              total_flows=total_flows), stats
+        both = _sparse_loads(np.concatenate(
+            [dead, np.array([canonical_peer(self.spec, int(g)) for g in dead],
+                            dtype=np.int64)]))[0]
+        touched = np.zeros(len(state.cps.stages), dtype=bool)
+        touched[state.link_keys[_member(state.link_keys % P, both)] // P] = True
+        stats = IncrementalStats(stages_touched=int(touched.sum()),
+                                 stages_total=len(touched),
+                                 flows_total=len(state.src))
+        keys, counts = state.link_keys, state.link_counts
+        aff = wfi = wg = np.empty(0, dtype=np.int64)
+        if touched.any():
+            fi, gp = self._links(state, touched)
+            aff = _sparse_loads(fi[_member(gp, both)])[0]
+            stats.flows_recomputed = len(aff)
+            on = _member(fi, aff)
+            wfi, wg = walk_flow_links(repaired_tables, state.src[aff],
+                                      state.dst[aff])
+            keys, counts = _apply_delta(
+                keys, counts, _sparse_loads(state.stage[fi[on]] * P + gp[on]),
+                _sparse_loads(state.stage[aff[wfi]] * P + wg))
+
+        def traverse(bad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            fi, gp = self._links(state, bad)
+            keep = ~_member(fi, aff)
+            return (np.concatenate([fi[keep], aff[wfi]]),
+                    np.concatenate([gp[keep], wg]))
+
+        degraded = replace(state, link_keys=keys, link_counts=counts)
+        return self._verdict(degraded, traverse), stats
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cps import CPS, Stage
 
-__all__ = ["stage_flows", "stage_flows_batch", "stage_flow_keys",
+__all__ = ["stage_flows", "case_flows", "stage_flows_batch",
            "port_sequences", "validate_placement"]
 
 
@@ -41,6 +41,19 @@ def validate_placement(rank_to_port: np.ndarray, num_endports: int,
     return r2p
 
 
+def _pair_flows(pairs: np.ndarray, rank_to_port: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Physical flows of rank ``pairs`` plus the mask of pairs kept."""
+    r2p = np.asarray(rank_to_port, dtype=np.int64)
+    # Ranks past the placement read a trailing -1 slot: like the slots
+    # marked -1 (physical placements of partial jobs), they do not exist.
+    slots = np.append(r2p, -1)
+    src = slots[np.minimum(pairs[:, 0], len(r2p))]
+    dst = slots[np.minimum(pairs[:, 1], len(r2p))]
+    keep = (src != dst) & (src >= 0) & (dst >= 0)
+    return src[keep], dst[keep], keep
+
+
 def stage_flows(stage: Stage, rank_to_port: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Physical ``(src_ports, dst_ports)`` of one stage under a placement.
 
@@ -48,27 +61,19 @@ def stage_flows(stage: Stage, rank_to_port: np.ndarray) -> tuple[np.ndarray, np.
     ``-1`` (physical placements of partially-populated jobs), are
     dropped -- this is how partial runs skip non-existent partners.
     """
-    r2p = np.asarray(rank_to_port, dtype=np.int64)
-    n = len(r2p)
-    pairs = stage.pairs
-    keep = (pairs[:, 0] < n) & (pairs[:, 1] < n)
-    src = r2p[pairs[keep, 0]]
-    dst = r2p[pairs[keep, 1]]
-    # Slots marked -1 (physical placements of partial jobs) do not exist.
-    drop = (src == dst) | (src < 0) | (dst < 0)
-    return src[~drop], dst[~drop]
+    src, dst, _ = _pair_flows(stage.pairs, rank_to_port)
+    return src, dst
 
 
-def stage_flow_keys(src: np.ndarray, dst: np.ndarray,
-                    num_endports: int) -> np.ndarray:
-    """Pack physical flows into single int64 keys ``src * N + dst``.
-
-    The keys identify a stage's flow *multiset* independently of order,
-    which is what incremental re-certification diffs when a placement
-    changes (see :class:`repro.check.SymbolicCertifier`).
-    """
-    return (np.asarray(src, dtype=np.int64) * num_endports
-            + np.asarray(dst, dtype=np.int64))
+def case_flows(cps: CPS, rank_to_port: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`stage_flows` of every stage at once: stage-major
+    ``(src_ports, dst_ports, stage_ids)`` whose stage-``s`` slice equals
+    ``stage_flows(cps.stages[s], rank_to_port)``."""
+    sizes = [len(st) for st in cps.stages]
+    src, dst, keep = _pair_flows(cps.all_pairs(), rank_to_port)
+    stage = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    return src, dst, stage[keep]
 
 
 def stage_flows_batch(

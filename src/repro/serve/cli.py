@@ -65,7 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="result cache directory (omit to disable)")
     serve.add_argument("--cache-max-bytes", type=int, default=None)
     serve.add_argument("--tick", type=float, default=0.01,
-                       help="supervisor tick in seconds")
+                       help="longest supervisor sleep between passes, in "
+                            "seconds (submissions and worker replies wake "
+                            "it sooner)")
     serve.add_argument("--allow-test-hooks", action="store_true",
                        help="honour test_delay_s/test_crash request hooks "
                             "(chaos testing only)")

@@ -10,13 +10,16 @@ only then journal the request as *accepted*, which is the service's
 promise that it will end in a certificate, a counterexample or a
 structured error, crashes included.
 
-The supervisor tick polls worker results, converts worker deaths into
-seeded-backoff requeues / quarantines (``SRV008``/``SRV001``),
-SIGKILLs over-deadline workers (``SRV003``), degrades ``both``-engine
-requests to symbolic-only under queue pressure (``SRV004``) and
-dispatches ready work to idle workers.  Pool health counters live in a
-:class:`~repro.runtime.SweepStats` -- the same record the parallel
-sweeper publishes -- embedded in :class:`ServiceMetrics`.
+The supervisor is event-driven: it sleeps until :meth:`submit` queues
+work or a worker's pipe turns readable (``loop.add_reader``), and at
+most ``tick_s`` otherwise.  Each pass polls worker results, converts
+worker deaths into seeded-backoff requeues / quarantines
+(``SRV008``/``SRV001``), SIGKILLs over-deadline workers (``SRV003``),
+degrades ``both``-engine requests to symbolic-only under queue
+pressure (``SRV004``) and dispatches ready work to idle workers.  Pool
+health counters live in a :class:`~repro.runtime.SweepStats` -- the
+same record the parallel sweeper publishes -- embedded in
+:class:`ServiceMetrics`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,13 @@ _RESULT_KEYS = ("certificates", "counterexample", "maxima", "num_flows",
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one service instance (all have working defaults)."""
+    """Tunables of one service instance (all have working defaults).
+
+    ``tick_s`` is the longest the supervisor sleeps between passes.
+    Submissions and worker replies wake it at once, so the tick does not
+    add latency; it bounds how late a deadline kill or a matured
+    requeue backoff can be noticed.
+    """
 
     workers: int = 2
     queue_capacity: int = 256
@@ -178,6 +187,7 @@ class CertificationService:
         self.accepting = True
         self.started_at = 0.0
         self.shutdown = asyncio.Event()
+        self._wake = asyncio.Event()
         self._rng = cfg.requeue.rng()
         self._supervisor: asyncio.Task[None] | None = None
         self._started = False
@@ -190,6 +200,7 @@ class CertificationService:
         self.started_at = self._clock()
         self._replay_journal()
         self.pool.start()
+        self.pool.watch(self._wake.set)
         self._started = True
         self._supervisor = asyncio.get_running_loop().create_task(
             self._run())
@@ -317,6 +328,7 @@ class CertificationService:
         entry.waiters.append(fut)
         self.in_flight[digest] = entry
         self.queue.push(entry)
+        self._wake.set()
         self.metrics.accepted += 1
         return await fut
 
@@ -330,12 +342,20 @@ class CertificationService:
 
     # -- supervisor -----------------------------------------------------
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
+            self._wake.clear()
             self._step(self._clock())
-            await asyncio.sleep(self.config.tick_s)
+            # not asyncio.wait_for: on some Pythons it swallows the
+            # cancel stop() sends when a wake-up lands at the same time
+            timer = loop.call_later(self.config.tick_s, self._wake.set)
+            try:
+                await self._wake.wait()
+            finally:
+                timer.cancel()
 
     def _step(self, now: float) -> None:
-        """One supervisor tick (synchronous; also the test surface)."""
+        """One supervisor pass (synchronous; also the test surface)."""
         results, deaths = self.pool.poll()
         for _handle, out in results:
             entry = self.dispatched.pop(int(out.get("seq", -1)), None)

@@ -11,9 +11,10 @@ Workers are stateful where it pays: each keeps a small LRU of symbolic
 :class:`~repro.check.symbolic.CaseState` objects keyed by the *base*
 request digest, so a stream of ``kind: "delta"`` requests against the
 same baseline re-certifies incrementally (the paper's placement-change
-workflow) instead of from cold.  The cache is soft state -- a fresh
-worker rebuilds a missing base on demand -- which is what keeps delta
-requests safe to replay after any crash.
+workflow) instead of from cold, reusing the base's CPS and memoised
+CPS digest rather than rebuilding them per request.  The cache is soft
+state -- a fresh worker rebuilds a missing base on demand -- which is
+what keeps delta requests safe to replay after any crash.
 
 :func:`execute_request` is the pure request -> result-dict function
 (also the unit-test surface); :class:`WorkerPool` owns the processes.
@@ -21,9 +22,11 @@ requests safe to replay after any crash.
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing as mp
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,7 +40,7 @@ from ..collectives.cps import CPS
 from ..fabric import build_fabric
 from ..ordering import random_order, topology_order, topology_subset
 from ..routing import route_dmodk
-from ..runtime.cache import active_digest, cps_digest, spec_digest
+from ..runtime.cache import active_digest, spec_digest
 from ..topology.spec import PGFTSpec
 from .protocol import CertRequest, ProtocolError
 
@@ -108,11 +111,13 @@ def _base_request(req: CertRequest) -> CertRequest:
                        engine="symbolic")
 
 
-def _certificate(spec: PGFTSpec, cps: CPS, placement: np.ndarray,
+def _certificate(spec: PGFTSpec, base: CaseState, placement: np.ndarray,
                  active: np.ndarray | None, num_flows: int,
                  max_link_load: int) -> dict[str, Any]:
     """Same schema as the ``symbolic-certify`` pass emits -- a service
-    certificate and a CLI certificate for one problem are identical."""
+    certificate and a CLI certificate for one problem are identical.
+    ``base`` lends its CPS and memoised CPS digest."""
+    cps = base.cps
     return {
         "kind": "contention-freedom-certificate",
         "version": CERTIFICATE_VERSION,
@@ -123,7 +128,7 @@ def _certificate(spec: PGFTSpec, cps: CPS, placement: np.ndarray,
         "routing": "dmodk",
         "spec_digest": spec_digest(spec),
         "cps": cps.name,
-        "cps_digest": cps_digest(cps),
+        "cps_digest": base.cps_digest,
         "num_stages": len(cps.stages),
         "num_flows": int(num_flows),
         "placement_digest": placement_digest(placement),
@@ -133,9 +138,9 @@ def _certificate(spec: PGFTSpec, cps: CPS, placement: np.ndarray,
     }
 
 
-def _symbolic_response(spec: PGFTSpec, cps: CPS, placement: np.ndarray,
-                       active: np.ndarray | None, result: Any,
-                       ) -> dict[str, Any]:
+def _symbolic_response(spec: PGFTSpec, base: CaseState,
+                       placement: np.ndarray, active: np.ndarray | None,
+                       result: Any) -> dict[str, Any]:
     if result.refuted:
         return {"status": "refuted", "maxima": list(result.maxima),
                 "num_flows": int(result.total_flows),
@@ -145,7 +150,7 @@ def _symbolic_response(spec: PGFTSpec, cps: CPS, placement: np.ndarray,
                 "num_flows": 0}
     return {"status": "certified", "maxima": list(result.maxima),
             "num_flows": int(result.total_flows),
-            "certificates": [_certificate(spec, cps, placement, active,
+            "certificates": [_certificate(spec, base, placement, active,
                                           result.total_flows,
                                           result.max_link_load)]}
 
@@ -215,7 +220,11 @@ def execute_request(payload: dict[str, Any],
         spec = req.resolve_spec()
         active = _make_active(req, spec)
         num_ranks = len(active) if active is not None else spec.num_endports
-        cps = _make_cps(req, num_ranks)
+        # a delta against a cached base reuses its CPS (and CPS digest)
+        base = _base_request(req)
+        base_key = base.digest()
+        state = states.get(base_key) if req.kind == "delta" else None
+        cps = state.cps if state is not None else _make_cps(req, num_ranks)
         placement = _make_order(req.order, req.order_seed, spec, active)
         if req.kind == "cert" and req.engine != "symbolic":
             return _run_check_response(req, spec, cps, placement, active)
@@ -223,20 +232,16 @@ def execute_request(payload: dict[str, Any],
         if req.kind == "cert":
             result, state = certifier.certify(cps, placement)
             _remember(states, req.digest(), state)
-            return _symbolic_response(spec, cps, placement, active, result)
+            return _symbolic_response(spec, state, placement, active, result)
         # kind == "delta": incremental against the cached base state
-        base = _base_request(req)
-        base_key = base.digest()
-        state = states.get(base_key)
         incremental = state is not None
         if state is None:
             base_placement = _make_order(base.order, base.order_seed,
                                          spec, active)
             _, state = certifier.certify(cps, base_placement)
-        result, new_state, inc = certifier.recertify(state,
-                                                     placement=placement)
+        result, _, inc = certifier.recertify(state, placement=placement)
         _remember(states, base_key, state)
-        out = _symbolic_response(spec, cps, placement, active, result)
+        out = _symbolic_response(spec, state, placement, active, result)
         out["incremental"] = {
             "base_cached": incremental,
             "stages_touched": inc.stages_touched,
@@ -264,12 +269,14 @@ def execute_request(payload: dict[str, Any],
 # ----------------------------------------------------------------------
 # The worker process main loop
 # ----------------------------------------------------------------------
-def _worker_main(conn: Any) -> None:
+def _worker_main(conn: Any, service_end: Any) -> None:
     """Receive ``{"seq", "request"}`` dicts, reply with result dicts.
 
     Unexpected exceptions are converted to ``status: "error"`` replies;
-    the loop ends on EOF or a ``None`` sentinel.
+    the loop ends on EOF or a ``None`` sentinel.  The forked copy of the
+    service's pipe end is closed first, or it would hide that EOF.
     """
+    service_end.close()
     states: dict[str, CaseState] = {}
     while True:
         try:
@@ -322,7 +329,8 @@ class WorkerPool:
     The pool never raises on worker death -- :meth:`poll` reports it
     and :meth:`respawn` replaces the process.  ``fork`` start method
     when available (cheap, inherits the imported closed form), else
-    ``spawn``.
+    ``spawn``.  After :meth:`watch`, the event loop calls a wake-up
+    callback whenever a worker's pipe turns readable.
     """
 
     size: int = 2
@@ -334,14 +342,36 @@ class WorkerPool:
             raise ValueError("pool size must be >= 1")
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        self._wake: Callable[[], None] | None = None
 
     def _spawn(self, index: int) -> WorkerHandle:
         parent, child = self._ctx.Pipe()
-        proc = self._ctx.Process(target=_worker_main, args=(child,),
+        proc = self._ctx.Process(target=_worker_main, args=(child, parent),
                                  daemon=True, name=f"repro-serve-w{index}")
         proc.start()
         child.close()
+        if self._wake is not None:
+            asyncio.get_running_loop().add_reader(parent.fileno(),
+                                                  self._wake)
         return WorkerHandle(index=index, proc=proc, conn=parent)
+
+    def _close(self, handle: WorkerHandle) -> None:
+        # unregister before closing: a closed fd cannot be unregistered,
+        # and its number may be reused by the next pipe
+        if self._wake is not None and not handle.conn.closed:
+            asyncio.get_running_loop().remove_reader(handle.conn.fileno())
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+
+    def watch(self, wake: Callable[[], None]) -> None:
+        """Have the running event loop call ``wake`` whenever a worker's
+        pipe turns readable: a reply arrived or the worker died."""
+        self._wake = wake
+        loop = asyncio.get_running_loop()
+        for handle in self.handles:
+            loop.add_reader(handle.conn.fileno(), wake)
 
     def start(self) -> None:
         if self.handles:
@@ -389,10 +419,7 @@ class WorkerPool:
 
     def respawn(self, handle: WorkerHandle) -> WorkerHandle:
         """Replace a dead (or killed) worker in place."""
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
+        self._close(handle)
         if handle.alive():  # pragma: no cover - defensive
             handle.proc.kill()
         handle.proc.join(timeout=5.0)
@@ -424,8 +451,6 @@ class WorkerPool:
             if handle.alive():
                 handle.proc.kill()
                 handle.proc.join(timeout=5.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            self._close(handle)
         self.handles = []
+        self._wake = None

@@ -1,5 +1,8 @@
 """Property-based tests: symbolic engine vs enumeration under random
-Cont.-X populations and sparse placements."""
+Cont.-X populations and sparse placements, and incremental
+re-certification vs cold certification under random deltas."""
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +10,13 @@ from hypothesis import strategies as st
 
 from repro.analysis.hsd import walk_flow_links
 from repro.check import SymbolicCertifier, symbolic_flow_links
-from repro.collectives.cps import dissemination, ring, shift
+from repro.collectives.cps import (
+    binomial,
+    dissemination,
+    recursive_doubling,
+    ring,
+    shift,
+)
 from repro.collectives.schedule import stage_flows
 from repro.fabric import build_fabric
 from repro.routing import route_dmodk
@@ -126,3 +135,102 @@ class TestSparsePlacementProperties:
         per_flow_s = [sorted(gp_s[fi_s == i].tolist())
                       for i in range(len(src))]
         assert per_flow_s == per_flow_w
+
+
+# ----------------------------------------------------------------------
+# Incremental re-certification == cold certification
+# ----------------------------------------------------------------------
+DELTA_KINDS = ("swap", "rotate", "random", "noop", "shrink")
+CPS_FAMILIES = (shift, ring, dissemination, recursive_doubling, binomial)
+
+
+def brute_force_stats(spec, cps, old_placement, new_placement, old_active,
+                      new_active):
+    """Per-stage multiset diff of the (src, dst) flows, in plain Python:
+    a flow is recomputed when the delta removes or adds it, or when its
+    destination's routing index changed."""
+    n = spec.num_endports
+    moved = dense_ranks(n, old_active) != dense_ranks(n, new_active)
+    touched = recomputed = total = 0
+    for stage in cps:
+        old = Counter(zip(*map(list, stage_flows(stage, old_placement))))
+        new = Counter(zip(*map(list, stage_flows(stage, new_placement))))
+        work = 0
+        for flows, other in ((old, new), (new, old)):
+            for (s, d), c in flows.items():
+                work += c if moved[d] else max(0, c - other[(s, d)])
+        touched += work > 0
+        recomputed += work
+        total += sum(new.values())
+    return touched, len(cps.stages), recomputed, total
+
+
+def draw_delta(data, kind, placement, active):
+    """A delta of ``kind``: ``(new_placement, new_active)``; ``active``
+    changes only when the job shrinks."""
+    n = len(placement)
+    if kind == "noop":
+        return None, active
+    if kind == "swap":
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True))
+        out = placement.copy()
+        out[[i, j]] = out[[j, i]]
+        return out, active
+    if kind == "rotate":
+        return np.roll(placement, data.draw(st.integers(1, n - 1))), active
+    if kind == "random":
+        perm = data.draw(st.permutations(range(n)))
+        return placement[np.array(perm, dtype=np.int64)], active
+    # shrink: some of the job's ports leave; their slots become holes
+    ports = placement[placement >= 0]
+    keep = data.draw(st.sets(st.sampled_from(sorted(ports.tolist())),
+                             min_size=2, max_size=len(ports)))
+    shrunk = np.array(sorted(keep), dtype=np.int64)
+    out = np.where(np.isin(placement, shrunk), placement, -1)
+    return out, shrunk
+
+
+class TestIncrementalProperties:
+    @given(name=st.sampled_from(sorted(SPECS)),
+           cps_fn=st.sampled_from(CPS_FAMILIES),
+           kinds=st.lists(st.sampled_from(DELTA_KINDS), min_size=1,
+                          max_size=2),
+           partial=st.booleans(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_recertify_equals_cold_certify(self, name, cps_fn, kinds,
+                                           partial, data):
+        """Any chain of deltas: the whole ``SymbolicResult`` (maxima,
+        violation payloads, flow count) equals a cold certification of
+        the new case, ``IncrementalStats`` equals a brute-force
+        per-stage multiset diff, and each returned state is a valid
+        baseline for the next delta."""
+        spec = SPECS[name]
+        n = spec.num_endports
+        active = data.draw(active_sets(spec)) if partial else None
+        ports = np.arange(n, dtype=np.int64) if active is None else active
+        perm = data.draw(st.permutations(range(len(ports))))
+        placement = np.full(n, -1, dtype=np.int64)
+        placement[:len(ports)] = ports[np.array(perm, dtype=np.int64)]
+        cps = cps_fn(n)
+        _, state = SymbolicCertifier(spec, active).certify(cps, placement)
+        for kind in kinds:
+            new_placement, new_active = draw_delta(data, kind, placement,
+                                                   active)
+            certifier = SymbolicCertifier(spec, active)
+            if new_active is active:
+                res, state, stats = certifier.recertify(
+                    state, placement=new_placement)
+            else:
+                res, state, stats = certifier.recertify(
+                    state, placement=new_placement, active=new_active)
+            if new_placement is None:
+                new_placement = placement
+            cold, _ = SymbolicCertifier(spec, new_active).certify(
+                cps, new_placement)
+            assert res == cold
+            assert (stats.stages_touched, stats.stages_total,
+                    stats.flows_recomputed, stats.flows_total) == \
+                brute_force_stats(spec, cps, placement, new_placement,
+                                  active, new_active)
+            placement, active = new_placement, new_active

@@ -4,6 +4,8 @@ quarantine, journal replay and the Unix-socket front-end."""
 import asyncio
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -13,6 +15,18 @@ from repro.serve.service import ServiceConfig
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def run_bounded(coro, seconds):
+    """``run`` in a thread the test can give up on: a supervisor that
+    swallows its cancellation never lets ``asyncio.run`` return."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(run(coro)),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "the event loop hung"
+    return out[0]
 
 
 async def _finished(svc):
@@ -298,6 +312,56 @@ class TestLifecycle:
         assert st["metrics"]["latency_p50_s"] > 0
         assert st["srv"][0]["code"] == "SRV090"
         assert st["cache"]["total_bytes"] > 0
+
+
+class TestSupervisorWake:
+    """The supervisor sleeps until work or a worker reply arrives;
+    ``tick_s`` only bounds the sleep."""
+
+    def test_request_does_not_wait_for_the_tick(self, make_service):
+        async def main():
+            svc = make_service(tick_s=1.0)
+            await svc.start()
+            try:
+                t0 = time.perf_counter()
+                out = await svc.submit({"topo": "n16-pgft"})
+                return out, time.perf_counter() - t0
+            finally:
+                await svc.stop()
+
+        out, elapsed = run_bounded(main(), 60.0)
+        assert out["status"] == "certified"
+        assert elapsed < 0.5, f"request took {elapsed:.3f}s at tick_s=1.0"
+
+    def test_stop_is_prompt_while_a_reply_arrives(self, make_service,
+                                                  tmp_path):
+        async def once(rep):
+            svc = make_service(
+                workers=1, tick_s=1.0, cache_dir=None,
+                journal_path=os.path.join(tmp_path, f"j{rep}.jsonl"))
+            await svc.start()
+            pending = asyncio.ensure_future(svc.submit(
+                {"topo": "n16-pgft", "order": "rotate",
+                 "order_seed": rep}))
+            while not svc.dispatched:
+                await asyncio.sleep(0)
+            # block (without yielding) until the reply sits in the pipe,
+            # so stop()'s cancel races the pipe's wake-up
+            assert svc.pool.handles[0].conn.poll(10.0)
+            if rep % 2:
+                await asyncio.sleep(0)
+            t0 = time.perf_counter()
+            await asyncio.wait_for(svc.stop(), timeout=5.0)
+            elapsed = time.perf_counter() - t0
+            out = await pending
+            return elapsed, out["status"]
+
+        async def main():
+            return [await once(rep) for rep in range(50)]
+
+        results = run_bounded(main(), 120.0)
+        assert max(e for e, _ in results) < 2.0
+        assert {s for _, s in results} <= {"certified", "error"}
 
 
 class TestUnixSocket:
