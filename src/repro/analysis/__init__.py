@@ -3,10 +3,8 @@
 from .hsd import (
     BatchedHSDReport,
     HSDReport,
-    MultiTableHSDReport,
     batched_sequence_hsd,
     down_port_destination_counts,
-    multi_table_sequence_hsd,
     sequence_hsd,
     stage_link_loads,
     stage_max_hsd,
@@ -30,10 +28,8 @@ __all__ = [
     "BatchedHSDReport",
     "HSDReport",
     "LevelProfile",
-    "MultiTableHSDReport",
     "OrderSweepResult",
     "batched_sequence_hsd",
-    "multi_table_sequence_hsd",
     "link_classes",
     "sequence_level_profile",
     "stage_level_profile",

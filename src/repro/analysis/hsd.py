@@ -15,8 +15,10 @@ no link ever carries two concurrent flows, so every message runs at
 full wire speed and cut-through latency.
 
 Everything is vectorised: a whole stage of flows is walked through the
-forwarding tables simultaneously (paths in an ``h``-level tree have at
-most ``2h + 1`` hops).
+forwarding tables simultaneously by the one route walk,
+:meth:`~repro.fabric.lft.ForwardingTables.walk`;
+:func:`walk_flow_links` is its hop-major view, and the per-stage,
+per-placement and per-class link loads are counts over it.
 """
 
 from __future__ import annotations
@@ -38,15 +40,8 @@ __all__ = [
     "HSDReport",
     "BatchedHSDReport",
     "batched_sequence_hsd",
-    "MultiTableHSDReport",
-    "multi_table_sequence_hsd",
     "down_port_destination_counts",
 ]
-
-
-def _max_hops(tables: ForwardingTables) -> int:
-    h = int(tables.fabric.node_level.max())
-    return 2 * h + 2
 
 
 def walk_flow_links(
@@ -56,51 +51,18 @@ def walk_flow_links(
 
     Returns ``(flow_idx, gports)``: parallel arrays listing, for each
     traversed directed link (identified by its source global port id),
-    which flow crossed it.  Flows with ``src == dst`` contribute nothing.
+    which flow crossed it -- the hop-major view of
+    :meth:`ForwardingTables.walk`.  Flows with ``src == dst`` contribute
+    nothing.  A route fault raises ``ValueError`` naming the earliest
+    one (:meth:`Routes.raise_fault`).
     """
-    fab = tables.fabric
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
         raise ValueError("src/dst shape mismatch")
-    flows_idx: list[np.ndarray] = []
-    ports: list[np.ndarray] = []
-
-    active = src != dst
-    idx = np.flatnonzero(active)
-    if len(idx) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    gp = tables.host_out_port(src[idx], dst[idx])
-    flows_idx.append(idx)
-    ports.append(gp)
-    cur = fab.peer_node[gp].astype(np.int64)
-    tgt = dst[idx]
-    if (cur < 0).any():
-        bad = idx[cur < 0][0]
-        raise ValueError(f"flow {bad} walked into a dead cable")
-
-    for _ in range(_max_hops(tables)):
-        moving = cur != tgt
-        if not moving.any():
-            break
-        idx = idx[moving]
-        cur = cur[moving]
-        tgt = tgt[moving]
-        gp = tables.out_port(cur, tgt)
-        if (gp < 0).any():
-            bad = idx[gp < 0][0]
-            raise ValueError(f"flow {bad} hit an unrouted destination")
-        flows_idx.append(idx)
-        ports.append(gp)
-        cur = fab.peer_node[gp].astype(np.int64)
-        if (cur < 0).any():
-            bad = idx[cur < 0][0]
-            raise ValueError(f"flow {bad} walked into a dead cable")
-    else:
-        if (cur != tgt).any():
-            raise ValueError("routing loop: flows did not terminate")
-
-    return np.concatenate(flows_idx), np.concatenate(ports)
+    routes = tables.flow_routes(src, dst)
+    routes.raise_fault()
+    return routes.flat()
 
 
 def stage_link_loads(
@@ -285,161 +247,6 @@ def batched_sequence_hsd(
     return BatchedHSDReport(cps_name=cps.name, stage_max=stage_max)
 
 
-@dataclass(frozen=True)
-class MultiTableHSDReport:
-    """Per-stage maxima for one (CPS, placement) across *many* tables.
-
-    The transpose of :class:`BatchedHSDReport`: there the placement
-    varies and the tables are fixed, here the placement is fixed and
-    the forwarding state varies (one entry per degraded/repaired
-    fabric).  ``stage_max[c, s]`` is the stage-``s`` max HSD under
-    tables ``c``, or ``-1`` when the stage produced no flows (the
-    serial path skips such stages entirely).
-    """
-
-    cps_name: str
-    stage_max: np.ndarray  # (num_cases, num_stages) int64; -1 = skipped
-
-    @property
-    def num_cases(self) -> int:
-        return self.stage_max.shape[0]
-
-    @property
-    def worst(self) -> np.ndarray:
-        """Per-case worst stage maximum, identical to running
-        :class:`HSDReport` ``.worst`` table by table."""
-        vals = np.zeros(self.num_cases, dtype=np.int64)
-        for c in range(self.num_cases):
-            row = self.stage_max[c]
-            row = row[row >= 0]
-            if len(row):
-                vals[c] = int(row.max())
-        return vals
-
-    def report(self, c: int) -> HSDReport:
-        """The serial-equivalent :class:`HSDReport` of case ``c``."""
-        row = self.stage_max[c]
-        return HSDReport(cps_name=self.cps_name, stage_max=row[row >= 0])
-
-
-def multi_table_sequence_hsd(
-    tables_list: list[ForwardingTables],
-    cps: CPS,
-    rank_to_port: np.ndarray,
-    switch_links_only: bool = False,
-) -> MultiTableHSDReport:
-    """Vectorised :func:`sequence_hsd` over many forwarding tables.
-
-    All tables must describe fabrics with identical port geometry
-    (same ``num_ports``/``num_endports``/``port_start``) -- the
-    degraded-fabric case, where each entry is the same physical tree
-    with different cables killed and different repaired routes.  Every
-    case's flows walk the stacked ``switch_out`` tensor simultaneously
-    and the per-case link loads are recovered with one ``bincount``
-    over ``(case, port)`` keys, so the cost per case is a small
-    fraction of the one-at-a-time path while the per-case reports
-    match :func:`sequence_hsd` exactly.
-
-    Raises ``ValueError`` on the same route anomalies as
-    :func:`walk_flow_links` (dead cable, unrouted destination, loop),
-    naming the offending case; filter disconnected repairs out first.
-    """
-    C = len(tables_list)
-    num_stages = len(cps.stages)
-    if C == 0:
-        return MultiTableHSDReport(
-            cps_name=cps.name,
-            stage_max=np.empty((0, num_stages), dtype=np.int64))
-    base = tables_list[0]
-    fab0 = base.fabric
-    num_ports = fab0.num_ports
-    for t in tables_list[1:]:
-        if (t.fabric.num_ports != num_ports
-                or t.fabric.num_endports != fab0.num_endports
-                or not np.array_equal(t.fabric.port_start, fab0.port_start)):
-            raise ValueError(
-                "multi_table_sequence_hsd needs tables over one port "
-                "geometry (same fabric with different failures/routes)")
-    switch_out = np.stack([t.switch_out for t in tables_list])
-    peer = np.stack([t.fabric.peer_node for t in tables_list]
-                    ).astype(np.int64)
-    keep_ports = _switch_link_mask(base) if switch_links_only else None
-    rank_to_port = np.asarray(rank_to_port, dtype=np.int64)
-
-    stage_max = np.full((C, num_stages), -1, dtype=np.int64)
-    for s_i, st in enumerate(cps):
-        src, dst = stage_flows(st, rank_to_port)
-        if len(src) == 0:
-            continue
-        loads = _multi_walk_loads(tables_list, switch_out, peer, src, dst)
-        if keep_ports is not None:
-            loads = loads[:, keep_ports]
-        if loads.shape[1]:
-            stage_max[:, s_i] = loads.max(axis=1)
-        else:
-            stage_max[:, s_i] = 0
-    return MultiTableHSDReport(cps_name=cps.name, stage_max=stage_max)
-
-
-def _multi_walk_loads(
-    tables_list: list[ForwardingTables],
-    switch_out: np.ndarray,
-    peer: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> np.ndarray:
-    """Link loads ``(num_cases, num_ports)`` of one stage walked through
-    every case's tables at once (core of
-    :func:`multi_table_sequence_hsd`)."""
-    C = len(tables_list)
-    num_ports = peer.shape[1]
-    num_endports = tables_list[0].fabric.num_endports
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    f = np.flatnonzero(src != dst)
-    if len(f) == 0:
-        return np.zeros((C, num_ports), dtype=np.int64)
-    # Host injection may differ per case (multi-cable hosts re-routed
-    # around a dead up-cable), so resolve it table by table.
-    gp = np.concatenate(
-        [t.host_out_port(src[f], dst[f]) for t in tables_list])
-    case = np.repeat(np.arange(C, dtype=np.int64), len(f))
-    flow = np.tile(f, C)
-    keys_acc = [case * num_ports + gp]
-    cur = peer[case, gp]
-    tgt = np.tile(dst[f], C)
-    if (cur < 0).any():
-        b = int(np.flatnonzero(cur < 0)[0])
-        raise ValueError(
-            f"case {case[b]}: flow {flow[b]} walked into a dead cable")
-    for _ in range(_max_hops(tables_list[0])):
-        moving = cur != tgt
-        if not moving.any():
-            break
-        case = case[moving]
-        flow = flow[moving]
-        cur = cur[moving]
-        tgt = tgt[moving]
-        gp = switch_out[case, cur - num_endports, tgt]
-        if (gp < 0).any():
-            b = int(np.flatnonzero(gp < 0)[0])
-            raise ValueError(
-                f"case {case[b]}: flow {flow[b]} hit an unrouted "
-                f"destination")
-        keys_acc.append(case * num_ports + gp)
-        cur = peer[case, gp]
-        if (cur < 0).any():
-            b = int(np.flatnonzero(cur < 0)[0])
-            raise ValueError(
-                f"case {case[b]}: flow {flow[b]} walked into a dead cable")
-    else:
-        if (cur != tgt).any():
-            raise ValueError("routing loop: flows did not terminate")
-    return np.bincount(
-        np.concatenate(keys_acc), minlength=C * num_ports
-    ).reshape(C, num_ports)
-
-
 def down_port_destination_counts(tables: ForwardingTables,
                                  active: np.ndarray | None = None,
                                  ) -> np.ndarray:
@@ -450,15 +257,14 @@ def down_port_destination_counts(tables: ForwardingTables,
     job's active end-ports (theorem 2 only binds the traffic a
     partially populated job can generate)."""
     fab = tables.fabric
-    ends = np.arange(fab.num_endports, dtype=np.int64) if active is None \
+    N = fab.num_endports
+    ends = np.arange(N, dtype=np.int64) if active is None \
         else np.unique(np.asarray(active, dtype=np.int64))
-    N = len(ends)
-    src = np.repeat(ends, N)
-    dst = np.tile(ends, N)
+    src = np.repeat(ends, len(ends))
+    dst = np.tile(ends, len(ends))
     flow_idx, gports = walk_flow_links(tables, src, dst)
-    flow_dst = dst[flow_idx]
-    pairs = np.unique(np.stack([gports, flow_dst], axis=1), axis=0)
-    counts = np.zeros(fab.num_ports, dtype=np.int64)
-    np.add.at(counts, pairs[:, 0], 1)
+    seen = np.bincount(gports * N + dst[flow_idx],
+                       minlength=fab.num_ports * N) > 0
+    counts = seen.reshape(fab.num_ports, N).sum(axis=1)
     counts[fab.port_goes_up()] = 0
     return counts

@@ -12,11 +12,12 @@ from typing import Any
 
 import numpy as np
 
+from ..fabric.lft import Routes
 from ..fabric.model import Fabric
 from .diagnostics import Loc
 
 __all__ = ["link_loc", "sample_pairs", "colliding_pairs_payload",
-           "MAX_COUNTEREXAMPLE_PAIRS"]
+           "valley_hops", "MAX_COUNTEREXAMPLE_PAIRS"]
 
 #: cap on colliding pairs listed per counterexample; the payload records
 #: ``total_pairs``/``pairs_truncated`` so the cap is never silent.
@@ -43,6 +44,20 @@ def sample_pairs(n: int, sample: int | None, seed: int = 0
         idx.sort()
         src, dst = src[idx], dst[idx]
     return src, dst
+
+
+def valley_hops(fab: Fabric, routes: Routes) -> np.ndarray:
+    """``(R, H)`` mask over ``routes.links``: the hops that ascend a
+    level after an earlier hop of the same route descended one (an
+    up*/down* valley, deadlock-prone under credit flow control)."""
+    links = routes.links
+    g = np.maximum(links, 0)  # padding reads port 0; masked below
+    lvl = fab.node_level
+    lvl_from = lvl[fab.port_owner[g]]
+    lvl_to = lvl[fab.peer_node[g]]
+    down = lvl_to < lvl_from
+    descended = np.cumsum(down, axis=1) - down
+    return (links >= 0) & (lvl_to > lvl_from) & (descended > 0)
 
 
 def colliding_pairs_payload(src: np.ndarray, dst: np.ndarray,

@@ -12,7 +12,9 @@ k-bounded combinations) the sweep
 (b) scores the result statically -- surviving-up-port load spread,
     per-link flow multiplicity via the same accounting as
     :mod:`repro.analysis.hsd`, up/down valley freedom on the detoured
-    routes -- and
+    routes (:func:`flow_valleys`, a view over the one route walk
+    :meth:`~repro.fabric.lft.ForwardingTables.walk` that raises on a
+    broken route exactly like the HSD walker) -- and
 (c) obtains a contention certificate or a minimal counterexample for
     the schedule under test through the symbolic certifier's
     incremental mode, so an n324 sweep costs per-fault *deltas*, not
@@ -51,7 +53,7 @@ from ..routing.repair import (
     repair_tables,
     score_repair,
 )
-from .common import colliding_pairs_payload, link_loc
+from .common import colliding_pairs_payload, link_loc, valley_hops
 from .diagnostics import Diagnostic, DiagnosticReport, Loc
 from .passes import CheckContext, CheckPass
 from .symbolic import CaseState, SymbolicCertifier, _member, _sparse_loads
@@ -225,48 +227,12 @@ def up_port_spread(tables: ForwardingTables,
 def flow_valleys(tables: ForwardingTables, src: np.ndarray,
                  dst: np.ndarray) -> np.ndarray:
     """Indices of flows whose route descends and then ascends again (an
-    up*/down* "valley" -- deadlock-prone under credit flow control).
-
-    A tiny hop-by-hop walker (the analysis twin of
-    :func:`repro.analysis.hsd.walk_flow_links` keeps no hop structure,
-    which the valley predicate needs).  Unroutable flows raise, exactly
-    like the walker.
-    """
-    fab = tables.fabric
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    goes_up = fab.port_goes_up()
-    idx = np.flatnonzero(src != dst)
-    if not len(idx):
-        return np.empty(0, dtype=np.int64)
-    gp = tables.host_out_port(src[idx], dst[idx])
-    cur = fab.peer_node[gp].astype(np.int64)
-    tgt = dst[idx]
-    went_down = np.zeros(len(idx), dtype=bool)
-    valley = np.zeros(len(idx), dtype=bool)
-    hits: list[np.ndarray] = []
-    h = int(fab.node_level.max())
-    for _ in range(2 * h + 2):
-        moving = cur != tgt
-        if not moving.all():   # retiring flows carry their verdict out
-            hits.append(idx[~moving & valley])
-        if not moving.any():
-            break
-        idx, cur, tgt = idx[moving], cur[moving], tgt[moving]
-        went_down, valley = went_down[moving], valley[moving]
-        gp = tables.out_port(cur, tgt)
-        if (gp < 0).any():
-            raise ValueError("flow hit an unrouted destination")
-        up = goes_up[gp]
-        valley |= went_down & up
-        went_down |= ~up
-        cur = fab.peer_node[gp].astype(np.int64)
-        if (cur < 0).any():
-            raise ValueError("flow walked into a dead cable")
-    else:
-        hits.append(idx[valley])
-    return np.unique(np.concatenate(hits)) if hits else \
-        np.empty(0, dtype=np.int64)
+    up*/down* valley, :func:`~repro.check.common.valley_hops`).  Route
+    faults raise exactly like
+    :func:`repro.analysis.hsd.walk_flow_links`."""
+    routes = tables.flow_routes(src, dst)
+    routes.raise_fault()
+    return np.flatnonzero(valley_hops(tables.fabric, routes).any(axis=1))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 All passes read the :class:`~repro.fabric.lft.ForwardingTables` of the
 context; none mutate it.  The heavy passes walk every (src, dst) pair
-through the tables with the vectorised path walker, so even the
+through the tables with the one vectorised route walk
+(:meth:`~repro.fabric.lft.ForwardingTables.walk`), so even the
 all-pairs checks stay a few NumPy calls:
 
-* ``RTE001``/``RTE002`` reachability (dead ends, loops),
-* ``RTE010`` up*/down* shape (no valleys) -- segmented-scan over the
-  all-pairs link walk,
+* ``RTE001``/``RTE002`` reachability (dead ends, loops), named from
+  each failing route's fault code,
+* ``RTE010`` up*/down* shape (no valleys) -- one mask over the routes'
+  per-hop link columns,
 * ``RTE020`` channel-dependency-graph cycles (deadlock), reusing
   :func:`repro.routing.deadlock.find_cycle`,
 * ``RTE030`` D-Mod-K conformance against the closed form of eq. (1),
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.hsd import down_port_destination_counts, walk_flow_links
+from ..analysis.hsd import down_port_destination_counts
+from ..fabric.lft import Routes
 from ..routing.deadlock import channel_dependencies, find_cycle
-from ..fabric.lft import ForwardingTables
 from ..routing.minhop import bfs_distances
 from .common import link_loc as _link_loc
-from .common import sample_pairs
+from .common import sample_pairs, valley_hops
 from .diagnostics import Diagnostic, DiagnosticReport, Loc
 from .passes import CheckContext, CheckPass
 
@@ -56,45 +58,35 @@ class ReachabilityPass(CheckPass):
         fab = ctx.fabric
         hops = tables.paths_matrix()
         ctx.artifacts["hops"] = hops
-        bad = np.argwhere(hops < 0)
-        for s, d in bad.tolist():
-            code, msg = self._classify(tables, int(s), int(d))
-            report.add(Diagnostic(code=code, message=msg,
-                                  loc=Loc(lid=int(d))))
-
-    @staticmethod
-    def _classify(tables: ForwardingTables, src: int,
-                  dst: int) -> tuple[str, str]:
-        """Re-trace one failing pair scalar-ly to name the failure."""
-        fab = tables.fabric
-        limit = 2 * (int(fab.node_level.max()) + 1) + 2
-        cur = int(fab.peer_node[int(tables.host_out_port(src, dst))])
-        for _ in range(limit):
-            if cur == dst:
-                break
-            if cur < 0:
-                return "RTE001", (
-                    f"route {src}->{dst} walks into a dead cable"
+        src, dst = np.nonzero(hops < 0)
+        if not len(src):
+            return
+        # Re-walk only the failing pairs to name each fault.
+        routes = tables.flow_routes(src, dst)
+        last = routes.links[np.arange(len(src)), routes.length - 1]
+        for s, d, fault, gp in zip(src.tolist(), dst.tolist(),
+                                   routes.fault.tolist(), last.tolist()):
+            if fault == Routes.DEAD_CABLE:
+                code, msg = "RTE001", (
+                    f"route {s}->{d} walks into a dead cable"
                     " (stale tables on a degraded fabric?)")
-            gp = int(tables.out_port(cur, dst))
-            if gp < 0:
-                return "RTE001", (
-                    f"route {src}->{dst} dead-ends at {fab.node_names[cur]}"
-                    " (-1 LFT entry)")
-            cur = int(fab.peer_node[gp])
-        else:
-            return "RTE002", (
-                f"route {src}->{dst} exceeds {limit} hops without arriving"
-                " (forwarding loop)")
-        return "RTE001", f"route {src}->{dst} failed"   # pragma: no cover
+            elif fault == Routes.UNROUTED:
+                code, msg = "RTE001", (
+                    f"route {s}->{d} dead-ends at "
+                    f"{fab.node_names[int(fab.peer_node[gp])]} (-1 LFT entry)")
+            else:
+                code, msg = "RTE002", (
+                    f"route {s}->{d} exceeds {tables.hop_limit} hops "
+                    "without arriving (forwarding loop)")
+            report.add(Diagnostic(code=code, message=msg, loc=Loc(lid=d)))
 
 
 class UpDownPass(CheckPass):
     """RTE010: every route must ascend then descend (no valleys).
 
-    Implemented as a segmented scan over the vectorised all-pairs link
-    walk: a hop that increases the level after any earlier decrease
-    within the same flow is a violation.
+    A hop that increases the level after any earlier decrease within
+    the same route is a violation
+    (:func:`~repro.check.common.valley_hops` over the sampled routes).
     """
 
     name = "up-down"
@@ -110,40 +102,23 @@ class UpDownPass(CheckPass):
         tables = ctx.tables
         fab = ctx.fabric
         src, dst = sample_pairs(fab.num_endports, self.sample, self.seed)
+        routes = tables.flow_routes(src, dst)
         try:
-            flow_idx, gports = walk_flow_links(tables, src, dst)
+            routes.raise_fault()
         except ValueError:
             if self.strict:
                 raise
             return  # reachability pass owns broken walks
-        if not len(flow_idx):
-            return
-        order = np.lexsort((np.arange(len(flow_idx)), flow_idx))
-        f = flow_idx[order]
-        g = gports[order]
         lvl = fab.node_level
-        lvl_from = lvl[fab.port_owner[g]]
-        lvl_to = lvl[fab.peer_node[g]]
-        down = lvl_to < lvl_from
-        up = lvl_to > lvl_from
-        starts = np.empty(len(f), dtype=bool)
-        starts[0] = True
-        starts[1:] = f[1:] != f[:-1]
-        cs = np.cumsum(down)
-        seg_base = np.repeat(
-            (cs - down)[starts], np.diff(np.flatnonzero(
-                np.r_[starts, True])))
-        descended_before = (cs - down) - seg_base
-        viol = up & (descended_before > 0)
-        for i in np.flatnonzero(viol).tolist():
-            fi = int(f[i])
+        for r, k in np.argwhere(valley_hops(fab, routes)).tolist():
+            g = int(routes.links[r, k])
             report.add(Diagnostic(
                 code="RTE010",
-                message=(f"route {int(src[fi])}->{int(dst[fi])} ascends "
-                         f"from level {int(lvl_from[i])} to "
-                         f"{int(lvl_to[i])} after descending"),
-                loc=_link_loc(fab, int(g[i]), lid=int(dst[fi]),
-                              level=int(lvl_from[i])),
+                message=(f"route {int(src[r])}->{int(dst[r])} ascends "
+                         f"from level {int(lvl[fab.port_owner[g]])} to "
+                         f"{int(lvl[fab.peer_node[g]])} after descending"),
+                loc=_link_loc(fab, g, lid=int(dst[r]),
+                              level=int(lvl[fab.port_owner[g]])),
             ))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import multi_table_sequence_hsd, render_table, sequence_hsd
+from ..analysis import render_table, sequence_hsd
 from ..check.faultspace import (
     certify_prepared,
     enumerate_fault_units,
@@ -59,37 +59,9 @@ def _combos(units, rng: np.random.Generator, k: int, samples: int):
     return out
 
 
-def _worst_hsds(tables_list, cps, placement, batch: bool,
-                batch_size: int, batch_check: int) -> list[int]:
-    """Per-case worst HSD over ``tables_list``.
-
-    The batched path stacks ``batch_size`` cases' forwarding tables at
-    a time through :func:`multi_table_sequence_hsd` (one walk for the
-    whole chunk) and cross-checks a sampled subset against the serial
-    :func:`sequence_hsd` path.
-    """
-    if not batch:
-        return [sequence_hsd(t, cps, placement).worst for t in tables_list]
-    worst: list[int] = []
-    for c0 in range(0, len(tables_list), max(1, batch_size)):
-        chunk = tables_list[c0:c0 + max(1, batch_size)]
-        worst.extend(int(w) for w in
-                     multi_table_sequence_hsd(chunk, cps, placement).worst)
-    if batch_check and tables_list:
-        stride = max(1, len(tables_list) // batch_check)
-        for c in list(range(0, len(tables_list), stride))[:batch_check]:
-            ref = sequence_hsd(tables_list[c], cps, placement).worst
-            if ref != worst[c]:
-                raise RuntimeError(
-                    f"batched degradation mismatch at case {c}: "
-                    f"stacked walk {worst[c]} != serial {ref}")
-    return worst
-
-
 def run(topo: str = "n324", failures=(1, 2, 4, 8, 16), samples: int = 12,
         seed: int = DEFAULT_SEED, exclude: int = 36,
-        max_shift_stages: int = 24, batch: bool = False,
-        batch_size: int = 256, batch_check: int = 4) -> str:
+        max_shift_stages: int = 24) -> str:
     spec = get_topology(topo)
     fab = build_fabric(spec)
     n = spec.num_endports
@@ -131,11 +103,10 @@ def run(topo: str = "n324", failures=(1, 2, 4, 8, 16), samples: int = 12,
                                            active=active,
                                            check_valleys=False)
             mults = [p.worst_multiplicity for p in prepared]
-            hsds = _worst_hsds(
-                [p.repair.tables for p in prepared
-                 if not (set(p.repair.unreachable)
-                         & set(placement.tolist()))],
-                cps, placement, batch, batch_size, batch_check)
+            hsds = [sequence_hsd(p.repair.tables, cps, placement).worst
+                    for p in prepared
+                    if not (set(p.repair.unreachable)
+                            & set(placement.tolist()))]
             cert_prepared = prepare_fault_cases(tables, cert_combos,
                                                 strategy=strategy,
                                                 active=active,
@@ -190,20 +161,10 @@ def main(argv=None) -> None:
     parser.add_argument("--exclude", type=int, default=36,
                         help="idle end-ports (Cont.-X job awareness)")
     parser.add_argument("--max-shift-stages", type=int, default=24)
-    parser.add_argument("--batch", action="store_true",
-                        help="walk all repaired tables of a failure "
-                             "count through one stacked table tensor")
-    parser.add_argument("--batch-size", type=int, default=256,
-                        help="repaired-table cases stacked per walk "
-                             "(memory knob) in --batch mode")
-    parser.add_argument("--batch-check", type=int, default=4,
-                        help="batched worst-HSD values cross-checked "
-                             "against the serial walk, per sweep")
     args = parser.parse_args(argv)
     print(run(topo=args.topo, failures=tuple(args.failures),
               samples=args.samples, seed=args.seed, exclude=args.exclude,
-              max_shift_stages=args.max_shift_stages, batch=args.batch,
-              batch_size=args.batch_size, batch_check=args.batch_check))
+              max_shift_stages=args.max_shift_stages))
 
 
 if __name__ == "__main__":

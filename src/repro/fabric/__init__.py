@@ -1,7 +1,7 @@
 """Fabric data model ("mini-ibdm"): wired nodes/ports, forwarding tables
 and a topology file format."""
 
-from .lft import ForwardingTables
+from .lft import ForwardingTables, Routes
 from .model import ENDPORT, SWITCH, Fabric, build_fabric
 from .nodetypes import DEFAULT_TYPE, NodeTypeMap, parse_types
 from .render import render_levels, render_link_loads, render_route
@@ -14,6 +14,7 @@ __all__ = [
     "SWITCH",
     "Fabric",
     "ForwardingTables",
+    "Routes",
     "TopoFileError",
     "build_fabric",
     "parse_types",

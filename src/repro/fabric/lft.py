@@ -14,17 +14,20 @@ index* as the key (end-port node id == end-port index == LID here):
 The tables are the hand-off point between routing engines and the
 consumers (HSD analysis, simulators): any router that fills a
 :class:`ForwardingTables` plugs into the rest of the library.
+:meth:`ForwardingTables.walk` is the one vectorised route walk those
+consumers read routes from (:class:`Routes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import Fabric
 
-__all__ = ["ForwardingTables"]
+__all__ = ["ForwardingTables", "Routes"]
 
 
 @dataclass
@@ -79,39 +82,134 @@ class ForwardingTables:
                 lines.append(f"  {dest:6d} : {local}")
         return "\n".join(lines) + "\n"
 
-    def paths_matrix(self, max_hops: int | None = None) -> np.ndarray:
+    def paths_matrix(self) -> np.ndarray:
         """Hop count between every (src, dst) end-port pair; ``-1`` when a
-        destination is unreachable.  Mostly a validation helper."""
+        route faults (see :meth:`walk`).  Mostly a validation helper."""
+        N = self.fabric.num_endports
+        src, dst = np.divmod(np.arange(N * N), N)
+        routes = self.flow_routes(src, dst)
+        hops = np.where(routes.fault == Routes.ARRIVED, routes.length, -1)
+        return hops.astype(np.int32).reshape(N, N)
+
+    # -- the route walk ----------------------------------------------------
+    @property
+    def hop_limit(self) -> int:
+        """Forwarding steps a route may take after injection, ``2h + 4``
+        for an ``h``-level tree: room for a few detours past the
+        ``2h - 1`` a minimal route needs, yet a loop still stops."""
+        return 2 * (int(self.fabric.node_level.max()) + 1) + 2
+
+    def flow_routes(self, src: np.ndarray, dst: np.ndarray) -> "Routes":
+        """:meth:`walk` of flows injected by their source hosts;
+        ``src == dst`` flows get empty routes."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        first = np.full(len(dst), -1, dtype=np.int64)
+        idx = np.flatnonzero(src != dst)
+        first[idx] = self.host_out_port(src[idx], dst[idx])
+        return self.walk(first, dst)
+
+    def walk(self, first_port: np.ndarray, dst: np.ndarray) -> "Routes":
+        """Walk route ``r`` from global port ``first_port[r]`` toward
+        end-port ``dst[r]``, every route at once.
+
+        Each step records the ``(row, gport)`` column of the routes still
+        moving.  A route stops when it reaches a host (its destination,
+        or else a fault), crosses a dead cable, meets a ``-1`` entry, or
+        runs out of :attr:`hop_limit` forwarding steps.  A negative
+        ``first_port`` is an empty route (a self flow).  This is the one
+        vectorised walk; everything that follows routes through the
+        tables is a view over its :class:`Routes`.
+        """
         fab = self.fabric
         N = fab.num_endports
-        src = np.repeat(np.arange(N), N)
-        dst = np.tile(np.arange(N), N)
-        hops = np.zeros(N * N, dtype=np.int32)
-        cur = src.copy()
-        limit = max_hops or (2 * (int(fab.node_level.max()) + 1) + 2)
-        gp = self.host_out_port(src, dst)
-        active = src != dst
-        cur[active] = fab.peer_node[gp[active]]
-        hops[active] = 1
-        for _ in range(limit):
-            # Routes that walked into a dead cable (next node -1, e.g.
-            # stale tables on a degraded fabric) are unreachable -- they
-            # must not index the switch rows.
-            dead = active & (cur < 0)
-            if dead.any():
-                hops[dead] = -1
-                active &= ~dead
-            active &= cur != dst
-            if not active.any():
+        first_port = np.asarray(first_port, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        fault = np.zeros(len(dst), dtype=np.int8)
+        rows = np.flatnonzero(first_port >= 0)
+        gp = first_port[rows]
+        tgt = dst[rows]
+        steps: list[tuple[np.ndarray, np.ndarray]] = []
+        for _ in range(self.hop_limit + 1):
+            if not len(rows):
                 break
-            gp = self.out_port(cur[active], dst[active])
-            bad = gp < 0
-            nxt = np.where(bad, cur[active], fab.peer_node[np.where(bad, 0, gp)])
-            cur[active] = nxt
-            hops[active] += 1
-            if bad.any():
-                idx = np.flatnonzero(active)[bad]
-                hops[idx] = -1
-                active[idx] = False
-        hops[(cur != dst) & (src != dst)] = -1
-        return hops.reshape(N, N)
+            steps.append((rows, gp))
+            cur = fab.peer_node[gp]
+            stop = cur < N  # arrived, dead cable or delivered elsewhere
+            if stop.any():
+                at = cur[stop]
+                odd = at != tgt[stop]
+                if odd.any():
+                    fault[rows[stop][odd]] = np.where(
+                        at[odd] < 0, Routes.DEAD_CABLE, Routes.UNROUTED)
+                keep = ~stop
+                rows, cur, tgt = rows[keep], cur[keep], tgt[keep]
+            gp = self.switch_out[cur - N, tgt]
+            unrouted = gp < 0
+            if unrouted.any():
+                fault[rows[unrouted]] = Routes.UNROUTED
+                keep = ~unrouted
+                rows, gp, tgt = rows[keep], gp[keep], tgt[keep]
+        fault[rows] = Routes.LOOP
+        return Routes(steps, fault)
+
+
+class Routes:
+    """Routes walked by :meth:`ForwardingTables.walk`, one row per flow.
+
+    ``steps[k]`` is ``(rows, gports)``: the rows that crossed a ``k``-th
+    link, ascending, and the global port of that link.  ``fault[r]`` says
+    how route ``r`` ended (:attr:`ARRIVED`, :attr:`DEAD_CABLE`,
+    :attr:`UNROUTED` -- a ``-1`` entry or a host other than the
+    destination -- or :attr:`LOOP`, no arrival within the hop limit); a
+    faulted route keeps the links it crossed.  The padded per-route
+    views are built on first use only.
+    """
+
+    ARRIVED, DEAD_CABLE, UNROUTED, LOOP = 0, 1, 2, 3
+
+    def __init__(self, steps: list[tuple[np.ndarray, np.ndarray]],
+                 fault: np.ndarray) -> None:
+        self.steps = steps
+        self.fault = fault
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, gports)`` of every crossed link, hop-major."""
+        if not self.steps:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        return (np.concatenate([r for r, _ in self.steps]),
+                np.concatenate([g for _, g in self.steps]))
+
+    @cached_property
+    def length(self) -> np.ndarray:
+        """Links crossed per route."""
+        length = np.zeros(len(self.fault), dtype=np.int64)
+        for k, (rows, _) in enumerate(self.steps):
+            length[rows] = k + 1
+        return length
+
+    @cached_property
+    def links(self) -> np.ndarray:
+        """``(R, H)`` crossed links per route, ``-1``-padded; ``H`` is
+        the longest route walked."""
+        links = np.full((len(self.fault), len(self.steps)), -1,
+                        dtype=np.int64)
+        for k, (rows, gp) in enumerate(self.steps):
+            links[rows, k] = gp
+        return links
+
+    def raise_fault(self) -> None:
+        """Raise ``ValueError`` naming the earliest fault, if any: the
+        lowest step, a dead cable before an unrouted hop, then the
+        lowest row."""
+        bad = np.flatnonzero(self.fault)
+        if not len(bad):
+            return
+        code = self.fault[bad]
+        r = int(bad[np.lexsort((bad, code, self.length[bad]))[0]])
+        if self.fault[r] == Routes.LOOP:
+            raise ValueError("routing loop: flows did not terminate")
+        if self.fault[r] == Routes.DEAD_CABLE:
+            raise ValueError(f"flow {r} walked into a dead cable")
+        raise ValueError(f"flow {r} hit an unrouted destination")

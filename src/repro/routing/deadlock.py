@@ -10,15 +10,15 @@ Up*/down* routing on trees is the textbook acyclic case; this module
 *proves* it for a concrete forwarding table instead of assuming it --
 and catches engines (or hand-edited LFTs) that introduce valleys.
 
-The CDG is built from every (src, dst) pair's route using the
-vectorised path walker, so it is exact for destination-based tables.
+The CDG is built from consecutive link columns of every (src, dst)
+pair's route (:meth:`~repro.fabric.lft.ForwardingTables.walk`), so it
+is exact for destination-based tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.hsd import walk_flow_links
 from ..fabric.lft import ForwardingTables
 
 __all__ = ["channel_dependencies", "find_cycle", "assert_deadlock_free"]
@@ -28,21 +28,22 @@ def channel_dependencies(tables: ForwardingTables) -> set[tuple[int, int]]:
     """All (link a -> link b) dependencies induced by all-pairs routes."""
     fab = tables.fabric
     N = fab.num_endports
-    src = np.repeat(np.arange(N), N)
-    dst = np.tile(np.arange(N), N)
-    flow_idx, gports = walk_flow_links(tables, src, dst)
-    deps: set[tuple[int, int]] = set()
-    # walk_flow_links emits hop levels grouped: within a flow the links
-    # appear in path order but interleaved across flows; regroup.
-    order = np.lexsort((np.arange(len(flow_idx)), flow_idx))
-    f_sorted = flow_idx[order]
-    g_sorted = gports[order]
-    same_flow = f_sorted[1:] == f_sorted[:-1]
-    a = g_sorted[:-1][same_flow]
-    b = g_sorted[1:][same_flow]
-    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
-    deps.update(map(tuple, pairs.tolist()))
-    return deps
+    src, dst = np.divmod(np.arange(N * N), N)
+    routes = tables.flow_routes(src, dst)
+    routes.raise_fault()
+    # consecutive hops of one route; ``b`` leaves the node ``a`` enters,
+    # so (a, local port of b) is a compact 1-D key
+    a = routes.links[:, :-1]
+    b = routes.links[:, 1:]
+    hop = b >= 0
+    a, b = a[hop], b[hop]
+    radix = int(np.diff(fab.port_start).max())
+    keys = np.flatnonzero(np.bincount(
+        a * radix + (b - fab.port_start[fab.port_owner[b]]),
+        minlength=fab.num_ports * radix))
+    a, local = np.divmod(keys, radix)
+    b = fab.port_start[fab.peer_node[a]] + local
+    return set(zip(a.tolist(), b.tolist()))
 
 
 def find_cycle(deps: set[tuple[int, int]]) -> list[int] | None:

@@ -6,8 +6,8 @@ test suite.  They are thin *raising* wrappers over the corresponding
 in the analyzer, and these entry points keep the historical
 raise-on-first-violation API:
 
-* :func:`check_reachability` -- every (src, dst) pair terminates within
-  the tree diameter (``RTE001``/``RTE002``); returns the hop-count
+* :func:`check_reachability` -- every (src, dst) pair arrives within
+  the tables' hop limit (``RTE001``/``RTE002``); returns the hop-count
   matrix.
 * :func:`check_up_down` -- every path ascends zero or more levels and
   then descends (no "valleys", ``RTE010``), the classic
@@ -15,9 +15,11 @@ raise-on-first-violation API:
 * :func:`down_port_destinations` -- per down-going directed link, the
   number of destinations whose (unique, destination-based) route uses
   it; theorem 2 states D-Mod-K yields at most one on complete RLFTs.
-  This is the deliberately scalar *reference* walker that
-  cross-validates the vectorised
-  :func:`repro.analysis.hsd.down_port_destination_counts`.
+  This is the deliberately scalar *reference* that cross-validates the
+  vectorised :func:`repro.analysis.hsd.down_port_destination_counts`.
+* :func:`trace_route` -- one route, hop by hop: the scalar oracle of
+  :meth:`~repro.fabric.lft.ForwardingTables.walk`, the one vectorised
+  walk every other route consumer is a view over.
 """
 
 from __future__ import annotations

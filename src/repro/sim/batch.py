@@ -41,9 +41,10 @@ engine restructures the same model around three observations:
 
 Soundness is *checked, not assumed*, per element:
 
-* **routes** -- :func:`_route_matrix_masked` walks every message
-  through the tables; a row that hits a missing cable, an unrouted
-  destination or a loop demotes its element;
+* **routes** -- :meth:`~repro.fabric.lft.ForwardingTables.walk` walks
+  every message through the tables, injecting on the host's rail-0 up
+  port like the event core; a route that hits a missing cable, an
+  unrouted destination or a loop demotes its element;
 * **budget** -- an element whose event core would exceed
   ``max_events`` packet arrivals raises
   ``SimulationError("packet event budget exhausted")``;
@@ -347,56 +348,8 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# route walk, wave recurrence, conflict scan
+# wave recurrence, conflict scan
 # ----------------------------------------------------------------------
-
-def _route_matrix_masked(
-    tables: ForwardingTables, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-message link rows ``(R, max_links)``, route lengths and
-    anomaly flags.
-
-    Mirrors the event core: hosts inject on their rail-0 up port and
-    switches forward by the LFT.  Anomalous rows (dead cable, unrouted
-    destination, loop) are flagged in ``bad`` instead of failing the
-    whole walk, so only the owning batch elements are demoted -- the
-    event core owns the diagnosis."""
-    fab = tables.fabric
-    R = len(src)
-    max_links = 2 * int(fab.node_level.max()) + 2
-    links = np.full((R, max_links), -1, dtype=np.int64)
-    length = np.ones(R, dtype=np.int64)
-    bad = np.zeros(R, dtype=bool)
-    if R == 0:
-        return links, length, bad
-    gp0 = fab.port_start[src].astype(np.int64)
-    links[:, 0] = gp0
-    cur = fab.peer_node[gp0].astype(np.int64)
-    bad |= cur < 0
-    active = np.flatnonzero(~bad & (cur != dst))
-    for h in range(1, max_links):
-        if len(active) == 0:
-            return links, length, bad
-        gp = np.asarray(tables.out_port(cur[active], dst[active]),
-                        dtype=np.int64)
-        dead = gp < 0
-        if dead.any():
-            bad[active[dead]] = True
-            active = active[~dead]
-            gp = gp[~dead]
-        links[active, h] = gp
-        length[active] += 1
-        nxt = fab.peer_node[gp].astype(np.int64)
-        dead = nxt < 0
-        if dead.any():
-            bad[active[dead]] = True
-            active = active[~dead]
-            nxt = nxt[~dead]
-        cur[active] = nxt
-        active = active[cur[active] != dst[active]]
-    bad[active] = True  # routing loop: let the event core diagnose
-    return links, length, bad
-
 
 def _advance_wave(cal, limit, f0, links, length, caps, pieces, last_size):
     """Advance one wave of isolated messages through the recurrence.
@@ -729,7 +682,11 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
         e._n_real = int(n_real[g])
         e._packets = int(packets[g])
 
-    links, length, bad = _route_matrix_masked(tables, src[real], dst[real])
+    # Hosts inject on their rail-0 up port, as in the event core; a
+    # faulted route demotes its element and the event core diagnoses it.
+    routes = tables.walk(fab.port_start[src[real]], dst[real])
+    links, length = routes.links, routes.length
+    bad = routes.fault != routes.ARRIVED
     elem_ok = np.ones(Bg, dtype=bool)
     if bad.any():
         for g in np.unique(elem[real][bad]):

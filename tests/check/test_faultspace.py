@@ -148,6 +148,27 @@ class TestStaticQuality:
         src, dst = np.divmod(np.arange(n * n), n)
         assert len(flow_valleys(tables, src, dst)) == 0
 
+    def test_looping_flow_raises_like_the_walker(self):
+        """A flow caught in a forwarding loop has no valley verdict: it
+        raises the walker's error instead of being judged mid-loop."""
+        from repro.analysis import walk_flow_links
+        from repro.fabric import ForwardingTables
+
+        fab = build_fabric(paper_topologies()["n16-pgft"])
+        base = route_dmodk(fab)
+        sw = base.switch_out.copy()
+        # host 5's leaf bounces dest 5 back toward its parent, which
+        # sends it straight down again
+        leaf = int(fab.peer_node[fab.port_start[5]])
+        sw[leaf - fab.num_endports, 5] = next(
+            g for g in fab.ports_of(leaf) if fab.port_goes_up()[g])
+        looped = ForwardingTables(fab, sw, base.host_up)
+        src, dst = np.array([0]), np.array([5])
+        with pytest.raises(ValueError, match="routing loop"):
+            walk_flow_links(looped, src, dst)
+        with pytest.raises(ValueError, match="routing loop"):
+            flow_valleys(looped, src, dst)
+
     def test_swsw_fault_keeps_reachability_and_scores(self, small):
         fab, tables, _, _ = small
         unit = enumerate_fault_units(fab, units="cable",

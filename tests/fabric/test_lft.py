@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.fabric import ForwardingTables, build_fabric
+from repro.analysis import walk_flow_links
+from repro.fabric import ForwardingTables, Routes, build_fabric
 from repro.routing import route_dmodk, trace_route
 from repro.topology import pgft
 
@@ -56,3 +57,46 @@ def test_host_out_port_single_rail(fig1_fabric, fig1_tables):
     dst = np.full(4, 9)
     gp = fig1_tables.host_out_port(src, dst)
     assert np.array_equal(gp, fig1_fabric.port_start[src])
+
+
+def test_walk_records_each_route(fig1_tables):
+    fab = fig1_tables.fabric
+    src = np.array([0, 3, 5, 9])
+    dst = np.array([9, 3, 0, 14])
+    routes = fig1_tables.flow_routes(src, dst)
+    assert (routes.fault == Routes.ARRIVED).all()
+    assert routes.length.tolist() == [
+        len(trace_route(fig1_tables, int(s), int(d))) for s, d in zip(src, dst)]
+    for r, (s, d) in enumerate(zip(src, dst)):
+        n = routes.length[r]
+        assert routes.links[r, :n].tolist() == trace_route(
+            fig1_tables, int(s), int(d))
+        assert (routes.links[r, n:] == -1).all()
+    # the flat view is hop-major: every first hop before any second one
+    rows, gports = routes.flat()
+    assert rows[:3].tolist() == [0, 2, 3]
+    assert gports[:3].tolist() == fab.port_start[[0, 5, 9]].tolist()
+
+
+def test_walk_names_faults(fig1_tables):
+    fab = fig1_tables.fabric
+    N = fab.num_endports
+    sw = fig1_tables.switch_out.copy()
+    leaf9 = int(fab.peer_node[fab.port_start[9]])
+    sw[leaf9 - N, 9] = -1
+    leaf14 = int(fab.peer_node[fab.port_start[14]])
+    # a switch that delivers to the wrong host has nowhere to go either
+    sw[leaf14 - N, 14] = fab.port_peer[fab.port_start[13]]
+    broken = ForwardingTables(fab, sw, fig1_tables.host_up)
+    routes = broken.flow_routes(np.array([0, 1, 2]), np.array([9, 14, 2]))
+    assert routes.fault.tolist() == [Routes.UNROUTED, Routes.UNROUTED,
+                                     Routes.ARRIVED]
+    hops = broken.paths_matrix()
+    assert hops[0, 9] == hops[1, 14] == -1
+    with pytest.raises(ValueError, match="flow 0 hit an unrouted"):
+        walk_flow_links(broken, np.array([0, 1]), np.array([9, 14]))
+    # the earliest fault by hop wins over a lower flow index
+    dead = ForwardingTables(fab.with_failed_cables([fab.port_start[3]]),
+                            sw, fig1_tables.host_up)
+    with pytest.raises(ValueError, match="flow 1 walked into a dead cable"):
+        walk_flow_links(dead, np.array([0, 3]), np.array([9, 0]))

@@ -9,11 +9,8 @@ byte-identical to the unbatched run.
 """
 
 from repro.experiments import chaos
-from repro.fabric import build_fabric
 from repro.faults import FaultSchedule
-from repro.routing import route_dmodk
 from repro.runtime import ParallelSweeper
-from repro.topology import paper_topologies
 
 ARGS = dict(topo="n16-pgft", horizon=300.0, sweep_delay=50.0,
             words=64, max_retries=4)
@@ -58,33 +55,3 @@ class TestScreenExactness:
         assert strip(plain).split("runtime |")[0].rstrip() \
             in batched  # same table body, extra mode line
         assert "resolved analytically" in batched
-
-
-class TestDegradationBatched:
-    def test_worst_hsds_batched_matches_serial(self):
-        """The stacked multi-table walk scores every repaired fabric
-        exactly like the serial per-table walk."""
-        import numpy as np
-
-        from repro.check.faultspace import (
-            enumerate_fault_units,
-            prepare_fault_cases,
-        )
-        from repro.collectives.cps import shift
-        from repro.experiments.degradation import _worst_hsds
-
-        fab = build_fabric(paper_topologies()["n16-pgft"])
-        tables = route_dmodk(fab)
-        n = fab.num_endports
-        units = enumerate_fault_units(fab, units="cable",
-                                      include_host_cables=False)
-        prepared = prepare_fault_cases(tables, [[u] for u in units[:9]],
-                                       strategy="balanced",
-                                       check_valleys=False)
-        cases = [tables] + [p.repair.tables for p in prepared]
-        cps = shift(n)
-        placement = np.arange(n, dtype=np.int64)
-        serial = _worst_hsds(cases, cps, placement, False, 0, 0)
-        batched = _worst_hsds(cases, cps, placement, True, 4, 3)
-        assert batched == serial
-        assert serial[0] == 1  # healthy D-Mod-K shift is contention-free
