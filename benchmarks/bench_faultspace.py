@@ -13,8 +13,15 @@ The asserted ratio (>= 10x, routinely higher) is tabulated in
 ``artifacts/BENCH_faultspace.json`` together with the differential
 check: both engines must produce bit-identical verdicts, stage maxima
 and counterexamples across the full single-fault space.
+
+The repair in front of it is fault-local too: the degraded distance
+field reuses the healthy one cached on the fabric and re-runs BFS only
+for the destinations a fault can change.  ``test_repair_distances_n324``
+holds that field equal to a cold BFS on every single fault and >= 5x
+faster, as the median of interleaved per-fault pairs.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -29,11 +36,13 @@ from repro.check.faultspace import (
 from repro.experiments.common import sampled_shift
 from repro.fabric import build_fabric
 from repro.ordering import topology_subset
-from repro.routing import route_dmodk
+from repro.routing import bfs_distances, route_dmodk
+from repro.routing.repair import repair_distances
 from repro.topology import paper_topologies
 
 EXCLUDE = 36          # Cont.-288 job: idle capacity worth certifying
 MAX_SHIFT_STAGES = 128
+MIN_DISTANCE_SPEEDUP = 5
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +116,41 @@ def test_incremental_sweep_throughput_n324(benchmark, sweep324):
     benchmark.extra_info["faults_per_run"] = len(prepared)
     benchmark.extra_info["verdicts"] = result.verdict_counts()
     assert len(result.records) == len(prepared)
+
+
+def test_repair_distances_n324(benchmark):
+    """The fault-local distance field equals a cold BFS on all 675
+    single faults of n324, and is >= 5x faster: the median of the
+    per-fault time ratios, cold and cached runs interleaved with the
+    first of each pair alternating."""
+    fab = build_fabric(paper_topologies()["n324"])
+    dests = np.arange(fab.num_endports)
+    degraded = [fab.with_failed_cables(list(u.gports))
+                for u in enumerate_fault_units(fab, units="both")]
+    assert len(degraded) == 675
+    repair_distances(fab, fab)            # fill the healthy cache
+    ratios, columns = [], []
+    for i, deg in enumerate(degraded):
+        times = [0.0, 0.0]
+        for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            if k:
+                local, cols = repair_distances(fab, deg)
+            else:
+                cold = bfs_distances(deg, dests)
+            times[k] = time.perf_counter() - t0
+        assert np.array_equal(local, cold), i
+        ratios.append(times[0] / times[1])
+        columns.append(len(cols))
+
+    def sweep():
+        for deg in degraded:
+            repair_distances(fab, deg)
+
+    benchmark.pedantic(sweep, rounds=3, iterations=1)
+    speedup = statistics.median(ratios)
+    benchmark.extra_info["num_faults"] = len(degraded)
+    benchmark.extra_info["median_pair_speedup"] = round(speedup, 1)
+    benchmark.extra_info["destinations_recomputed"] = {
+        str(c): columns.count(c) for c in sorted(set(columns))}
+    assert speedup >= MIN_DISTANCE_SPEEDUP, speedup

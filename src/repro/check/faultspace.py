@@ -207,21 +207,18 @@ def up_port_spread(tables: ForwardingTables,
     condition.  Fully even healthy D-Mod-K meets the bound everywhere.
     """
     fab = tables.fabric
-    N = fab.num_endports
-    counts = destination_multiplicity(tables, active=active)
-    goes_up = fab.port_goes_up()
-    live = fab.port_peer >= 0
-    out: list[tuple[int, int, int, int]] = []
-    for node in range(N, fab.num_nodes):
-        ports = fab.ports_of(node)
-        up = ports[goes_up[ports] & live[ports]]
-        if not len(up):
-            continue
-        loads = counts[up]
-        total = int(loads.sum())
-        bound = -(-total // len(up))
-        out.append((node, len(up), int(loads.max()), bound))
-    return out
+    up = np.flatnonzero(fab.port_goes_up()
+                        & (fab.port_owner >= fab.num_endports))
+    if not up.size:
+        return []
+    loads = destination_multiplicity(tables, active=active)[up]
+    owner = fab.port_owner[up]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    live = np.diff(starts, append=len(up))
+    bound = -(-np.add.reduceat(loads, starts) // live)
+    return list(zip(owner[starts].tolist(), live.tolist(),
+                    np.maximum.reduceat(loads, starts).tolist(),
+                    bound.tolist()))
 
 
 def flow_valleys(tables: ForwardingTables, src: np.ndarray,

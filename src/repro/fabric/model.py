@@ -80,6 +80,10 @@ class Fabric:
     # Derived, filled in __post_init__.
     port_owner: np.ndarray = field(init=False)
     peer_node: np.ndarray = field(init=False)
+    # (port_peer copy, end-port distance field) cached by
+    # :func:`repro.routing.repair.repair_distances`.
+    _distances: tuple | None = field(init=False, default=None, repr=False,
+                                     compare=False)
 
     def __post_init__(self) -> None:
         nn = self.num_nodes

@@ -27,6 +27,19 @@ bit-identical to D-Mod-K.  That locality is what the incremental
 symbolic re-certifier exploits: only flows whose healthy path crossed
 a dead cable can have moved.  The failures/degradation experiments
 quantify the quality gap between the two strategies.
+
+The repair itself is fault-local.  :func:`repair_distances` computes
+the healthy distance field once per base fabric and caches it there
+(re-validated against a copy of ``port_peer``).  Destination ``d``
+keeps its healthy distances unless ``d`` is isolated (no live cable
+left) or a non-isolated owner ``v`` of a killed port has no live
+neighbour at healthy distance ``dist[d, v] - 1``; otherwise every node
+still has a live path of strictly falling healthy distance to ``d``,
+and deleting cables never shortens one.  Only flagged destinations
+re-run BFS (all of them when the degraded fabric has a cable the base
+lacks).  Entries are re-pointed for all switches at once: ``naive`` in
+one array expression, ``balanced`` rank by rank -- the k-th entry of
+every switch in one step, since switches share no ports.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ __all__ = [
     "repair_tables_balanced",
     "RepairReport",
     "REPAIR_STRATEGIES",
+    "repair_distances",
     "destination_multiplicity",
     "worst_link_multiplicity",
     "score_repair",
@@ -83,12 +97,11 @@ def destination_multiplicity(tables: ForwardingTables,
     """
     sw_out = tables.switch_out
     if active is not None:
-        sw_out = sw_out[:, np.unique(np.asarray(active, dtype=np.int64))]
-    used = sw_out[sw_out >= 0]
-    counts = np.zeros(tables.fabric.num_ports, dtype=np.int64)
-    if used.size:
-        np.add.at(counts, used, 1)
-    return counts
+        keep = np.zeros(sw_out.shape[1], dtype=bool)
+        keep[np.asarray(active, dtype=np.int64)] = True
+        sw_out = sw_out[:, keep]
+    return np.bincount(sw_out[sw_out >= 0],
+                       minlength=tables.fabric.num_ports)
 
 
 def worst_link_multiplicity(tables: ForwardingTables,
@@ -113,27 +126,98 @@ def score_repair(report: RepairReport) -> tuple[int, int, int]:
             report.repaired_entries)
 
 
-def _needed_entries(tables: ForwardingTables, fabric: Fabric,
-                    dists: np.ndarray, dead: np.ndarray,
+def repair_distances(base: Fabric,
+                     fabric: Fabric) -> tuple[np.ndarray, np.ndarray]:
+    """``bfs_distances(fabric, arange(N))`` for a degraded twin of
+    ``base``, and the destinations whose BFS was re-run (the rule is in
+    the module docstring)."""
+    N = fabric.num_endports
+    cache = base._distances
+    if cache is None or not np.array_equal(cache[0], base.port_peer):
+        cache = (base.port_peer.copy(), bfs_distances(base, np.arange(N)))
+        base._distances = cache
+    healthy = cache[1]
+    peer, owner = fabric.port_peer, fabric.port_owner
+    live = peer >= 0
+    isolated = np.bincount(owner[live], minlength=fabric.num_nodes) == 0
+    # a cable the base lacks (restored or rewired) can shorten anything
+    stuck = isolated[:N] | (live & (peer != base.port_peer)).any()
+    if not stuck.all():
+        hurt = np.zeros(fabric.num_nodes, dtype=bool)
+        hurt[owner[(base.port_peer >= 0) & ~live]] = True
+        lp = np.flatnonzero(live & hurt[owner])
+        if lp.size:
+            # live neighbours were base neighbours, within one hop of
+            # the owner's distance: one is a step closer iff the nearest is
+            v = owner[lp]
+            starts = np.flatnonzero(np.diff(v, prepend=-1))
+            near = np.minimum.reduceat(healthy[:, fabric.peer_node[lp]],
+                                       starts, axis=1)
+            stuck |= (near != healthy[:, v[starts]] - 1).any(axis=1)
+    cols = np.flatnonzero(stuck)
+    dist = healthy.copy()
+    dist[:, isolated] = -1
+    if cols.size:
+        dist[cols] = bfs_distances(fabric, cols)
+    return dist, cols
+
+
+def _needed_entries(fabric: Fabric, dists: np.ndarray,
                     sw_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows/dests of entries that must be re-pointed.
 
-    An entry must be repaired when it points at a dead port OR is no
-    longer on a shortest path: keeping a non-minimal survivor can
-    bounce traffic back toward the failure (a routing loop), so the
-    repair is transitive -- every entry re-validates, and
+    An entry must be repaired when it is unrouted (``-1``), points at a
+    dead port OR is no longer on a shortest path: keeping a non-minimal
+    survivor can bounce traffic back toward the failure (a routing
+    loop), so the repair is transitive -- every entry re-validates, and
     strictly-descending distances make loops impossible.
     """
     N = fabric.num_endports
-    entry_dead = dead[sw_out]
-    next_node = np.where(entry_dead, -1, fabric.peer_node[sw_out])
-    nodes = N + np.arange(sw_out.shape[0])
-    dest_idx = np.arange(N)
-    d_here = dists[dest_idx[None, :], nodes[:, None]]
-    d_next = np.where(next_node >= 0,
-                      dists[dest_idx[None, :], next_node], -2)
-    needs = entry_dead | (d_next != d_here - 1)
-    return np.nonzero(needs)
+    nxt = np.append(fabric.peer_node, -1)[sw_out]  # a -1 entry reads dead
+    d_next = np.take(dists, np.arange(N) * dists.shape[1] + nxt)
+    return np.nonzero((nxt < 0) | (d_next != dists[:, N:].T - 1))
+
+
+def _pick_ports(fabric: Fabric, dists: np.ndarray, rows: np.ndarray,
+                dests: np.ndarray, load: np.ndarray,
+                strategy: str) -> np.ndarray:
+    """Repaired out-port of each (row, dest) entry whose switch reaches
+    ``dest`` (BFS reached it through a candidate), scanning from the
+    ``dest % len(cand)``-th; ``balanced`` takes the first least-loaded."""
+    if not len(rows):
+        return rows
+    nodes = fabric.num_endports + rows
+    first = fabric.port_start[nodes][:, None]
+    width = int(np.diff(fabric.port_start).max())
+    ports = first + np.arange(width)
+    inside = ports < fabric.port_start[nodes + 1][:, None]
+    ports = np.where(inside, ports, first)
+    peers = fabric.peer_node[ports]
+    cand = inside & (peers >= 0) & (
+        dists[dests[:, None], np.maximum(peers, 0)]
+        == dists[dests, nodes][:, None] - 1)
+    cnt = cand.sum(axis=1)[:, None]
+    # position in the dest-rotated candidate order; non-candidates last
+    key = np.where(cand, (np.cumsum(cand, axis=1) - 1
+                          - dests[:, None] % cnt) % cnt, width)
+    if strategy == "naive":
+        col = np.argmin(key, axis=1)
+    else:
+        # picks only move their own switch's loads: the k-th entry of
+        # every switch goes in one step, in entry order within a switch
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        order = np.argsort(rank, kind="stable")
+        bounds = np.flatnonzero(np.diff(rank[order], prepend=-1, append=-1))
+        # non-candidates score above every candidate's load * width + key
+        key += ~cand * (width * (int(load.max()) + len(rows) + 1))
+        key, by_rank = key[order], ports[order]
+        col = np.empty(len(rows), dtype=np.int64)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            step = by_rank[lo:hi]
+            c = np.argmin(load[step] * width + key[lo:hi], axis=1)
+            col[order[lo:hi]] = c
+            load[step[np.arange(hi - lo), c]] += 1
+    return ports[np.arange(len(rows)), col]
 
 
 def _repair(tables: ForwardingTables, fabric: Fabric,
@@ -153,44 +237,18 @@ def _repair(tables: ForwardingTables, fabric: Fabric,
 
     repaired = 0
     if sw_out.size:
-        dists = bfs_distances(fabric, np.arange(N))  # (N, V) on degraded net
-        rows, dests = _needed_entries(tables, fabric, dists, dead, sw_out)
+        dists, _ = repair_distances(tables.fabric, fabric)
+        rows, dests = _needed_entries(fabric, dists, sw_out)
         # Load per directed port: destinations currently assigned to it,
         # with the entries about to be re-pointed removed first so the
         # balanced strategy rebalances against the *surviving* spread.
-        load = np.zeros(fabric.num_ports, dtype=np.int64)
-        if strategy == "balanced":
-            sw_tmp = sw_out.copy()
-            sw_tmp[rows, dests] = -1
-            used = sw_tmp[sw_tmp >= 0]
-            if used.size:
-                np.add.at(load, used, 1)
-        for row, dest in zip(rows.tolist(), dests.tolist()):
-            if dest in lost_hosts:
-                sw_out[row, dest] = -1
-                continue
-            node = N + row
-            ports = fabric.ports_of(node)
-            live = ports[fabric.port_peer[ports] >= 0]
-            peers = fabric.peer_node[live]
-            if dists[dest, node] < 0:
-                sw_out[row, dest] = -1
-                continue
-            cand = live[dists[dest, peers] == dists[dest, node] - 1]
-            if len(cand) == 0:
-                sw_out[row, dest] = -1
-                continue
-            if strategy == "naive":
-                pick = int(cand[dest % len(cand)])
-            else:
-                # Least-loaded surviving candidate; scan from the
-                # D-Mod-K-ish rotation point so ties spread modularly
-                # and the choice stays a pure function of the inputs.
-                rot = np.roll(cand, -(dest % len(cand)))
-                pick = int(rot[int(np.argmin(load[rot]))])
-                load[pick] += 1
-            sw_out[row, dest] = pick
-            repaired += 1
+        sw_out[rows, dests] = -1
+        load = np.bincount(sw_out[sw_out >= 0], minlength=fabric.num_ports)
+        keep = (~dead[host_ports][dests]) & (dists[dests, N + rows] >= 0)
+        rows, dests = rows[keep], dests[keep]
+        sw_out[rows, dests] = _pick_ports(fabric, dists, rows, dests, load,
+                                          strategy)
+        repaired = len(rows)
 
     new_tables = ForwardingTables(
         fabric=fabric, switch_out=sw_out, host_up=tables.host_up

@@ -5,20 +5,22 @@ import pytest
 
 from repro.analysis import sequence_hsd
 from repro.collectives import shift
-from repro.fabric import build_fabric
+from repro.fabric import ForwardingTables, build_fabric
 from repro.ordering import topology_order
 from repro.routing import (
     assert_deadlock_free,
+    bfs_distances,
     check_reachability,
     route_dmodk,
 )
 from repro.routing.repair import (
+    repair_distances,
     repair_tables,
     repair_tables_balanced,
     score_repair,
     worst_link_multiplicity,
 )
-from repro.topology import rlft_max
+from repro.topology import paper_topologies, rlft_max
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,46 @@ class TestRepairEdgeCases:
         assert rep2.repaired_entries == 0
         assert np.array_equal(rep2.tables.switch_out,
                               rep1.tables.switch_out)
+
+
+class TestUnroutedEntries:
+    @pytest.mark.parametrize("strategy", ["naive", "balanced"])
+    @pytest.mark.parametrize("dest", [0, 306])
+    def test_unrouted_entry_on_live_switch_is_repaired(self, dest, strategy):
+        # A -1 entry must not be judged by the fabric's last port (index
+        # -1): on n324 that port's peer, leaf 341, sits one hop closer
+        # to destination 306, which used to leave the entry unrouted
+        # and report 306 unreachable on a healthy fabric.
+        fab = build_fabric(paper_topologies()["n324"])
+        base = route_dmodk(fab)
+        sw = base.switch_out.copy()
+        sw[-1, dest] = -1
+        rep = repair_tables(ForwardingTables(fab, sw, base.host_up), fab,
+                            strategy=strategy)
+        assert rep.repaired_entries == 1
+        assert rep.ok
+        check_reachability(rep.tables)
+
+
+class TestFaultLocality:
+    def test_destinations_recomputed_per_fault_class(self):
+        # n324: hosts hang off single cables, leaves reach every spine
+        # over two parallel cables.  Only a lost host's own distances
+        # change, a spine or one leaf-spine cable changes none, and a
+        # dead leaf strands its 18 hosts.
+        fab = build_fabric(paper_topologies()["n324"])
+        N = fab.num_endports
+        leaf, spine = N, fab.num_nodes - 1
+        up = int(fab.port_start[leaf + 1]) - 1      # a leaf-spine cable
+        cases = [(fab.with_failed_cables([int(fab.port_start[5])]), [5]),
+                 (fab.with_failed_cables([up]), []),
+                 (fab.with_failed_switches([spine]), []),
+                 (fab.with_failed_switches([leaf]), list(range(18)))]
+        for degraded, want in cases:
+            dist, cols = repair_distances(fab, degraded)
+            assert cols.tolist() == want
+            assert np.array_equal(dist, bfs_distances(degraded,
+                                                      np.arange(N)))
 
 
 class TestStrategies:
