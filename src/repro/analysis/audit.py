@@ -61,8 +61,8 @@ class TableAudit:
 
 def audit_tables(tables: ForwardingTables,
                  check_theorem2: bool = True) -> TableAudit:
-    """Run the full audit.  ``check_theorem2=False`` skips the O(N^2)
-    all-pairs walk on large fabrics."""
+    """Run the full audit.  ``check_theorem2=False`` skips the
+    theorem-2 down-port count (a walk of every used table entry)."""
     # Imported lazily: repro.check pulls in analysis primitives at
     # module level, so the reverse edge must not exist at import time.
     from ..check.diagnostics import DiagnosticReport

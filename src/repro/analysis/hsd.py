@@ -29,7 +29,7 @@ import numpy as np
 
 from ..collectives.cps import CPS
 from ..collectives.schedule import stage_flows, stage_flows_batch
-from ..fabric.lft import ForwardingTables
+from ..fabric.lft import EntryRoutes, ForwardingTables
 
 __all__ = [
     "walk_flow_links",
@@ -251,20 +251,23 @@ def down_port_destination_counts(tables: ForwardingTables,
                                  active: np.ndarray | None = None,
                                  ) -> np.ndarray:
     """Distinct destinations per down-going directed link under all-to-all
-    traffic (vectorised theorem-2 check; see
-    :func:`repro.routing.validate.down_port_destinations` for the
-    reference implementation).  ``active`` restricts the all-to-all to a
-    job's active end-ports (theorem 2 only binds the traffic a
-    partially populated job can generate)."""
+    traffic (theorem 2), read from the tables' entry routes
+    (:class:`~repro.fabric.lft.EntryRoutes`): a down link carries ``d``
+    when the route of some entry toward ``d`` that a pair uses crosses
+    it.  ``active`` restricts the all-to-all to a job's active end-ports
+    (theorem 2 only binds the traffic a partially populated job can
+    generate).  A route fault raises the ``ValueError`` of the
+    all-pairs walk."""
     fab = tables.fabric
     N = fab.num_endports
-    ends = np.arange(N, dtype=np.int64) if active is None \
-        else np.unique(np.asarray(active, dtype=np.int64))
-    src = np.repeat(ends, len(ends))
-    dst = np.tile(ends, len(ends))
-    flow_idx, gports = walk_flow_links(tables, src, dst)
-    seen = np.bincount(gports * N + dst[flow_idx],
-                       minlength=fab.num_ports * N) > 0
-    counts = seen.reshape(fab.num_ports, N).sum(axis=1)
-    counts[fab.port_goes_up()] = 0
-    return counts
+    entries = EntryRoutes(tables, active)
+    entries.raise_fault()
+    rows, gports = entries.routes.flat()
+    dst = entries.dst[rows]
+    # a host link reaching another host is not up-going either
+    src, to = entries.host_pairs()
+    gports = np.concatenate([gports, entries.host_link(src, to)[0]])
+    dst = np.concatenate([dst, to])
+    down = ~fab.port_goes_up()[gports]
+    keys = np.unique(gports[down] * N + dst[down])
+    return np.bincount(keys // N, minlength=fab.num_ports)

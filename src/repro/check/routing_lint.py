@@ -1,20 +1,25 @@
 """Forwarding-table lint (``RTE0xx``).
 
 All passes read the :class:`~repro.fabric.lft.ForwardingTables` of the
-context; none mutate it.  The heavy passes walk every (src, dst) pair
-through the tables with the one vectorised route walk
-(:meth:`~repro.fabric.lft.ForwardingTables.walk`), so even the
-all-pairs checks stay a few NumPy calls:
+context; none mutate it.  The all-pairs checks read the tables, not an
+N² route walk: the tables are destination-based, so every (src, dst)
+route is its host link followed by the route of one ``(first switch,
+destination)`` entry, and :class:`~repro.fabric.lft.EntryRoutes` walks
+each used entry once (~5.8k entries for 105k pairs at n324).  Only
+failing or sampled pairs are walked one by one, to render findings:
 
 * ``RTE001``/``RTE002`` reachability (dead ends, loops), named from
   each failing route's fault code,
-* ``RTE010`` up*/down* shape (no valleys) -- one mask over the routes'
-  per-hop link columns,
-* ``RTE020`` channel-dependency-graph cycles (deadlock), reusing
-  :func:`repro.routing.deadlock.find_cycle`,
+* ``RTE010`` up*/down* shape (no valleys) -- one mask over the entry
+  routes' link columns; the seeded pair sample is drawn only when some
+  route faults or has a valley,
+* ``RTE020`` channel-dependency-graph cycles (deadlock): the edges are
+  proven acyclic by bulk peeling
+  (:func:`repro.routing.deadlock.acyclic`), and only a cyclic graph
+  goes to :func:`repro.routing.deadlock.find_cycle`,
 * ``RTE030`` D-Mod-K conformance against the closed form of eq. (1),
 * ``RTE040`` theorem-2 down-port destination counts,
-* ``RTE041`` up-port destination balance,
+* ``RTE041`` up-port destination balance, one ``bincount`` per table,
 * ``RTE050`` non-minimal entries vs BFS distances.
 
 Artifacts published: ``hops`` (the hop matrix), ``cdg_dependencies``
@@ -27,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.hsd import down_port_destination_counts
-from ..fabric.lft import Routes
-from ..routing.deadlock import channel_dependencies, find_cycle
+from ..fabric.lft import EntryRoutes, Routes
+from ..routing.deadlock import acyclic, dependency_edges, find_cycle
 from ..routing.minhop import bfs_distances
 from .common import link_loc as _link_loc
 from .common import sample_pairs, valley_hops
@@ -86,7 +91,10 @@ class UpDownPass(CheckPass):
 
     A hop that increases the level after any earlier decrease within
     the same route is a violation
-    (:func:`~repro.check.common.valley_hops` over the sampled routes).
+    (:func:`~repro.check.common.valley_hops` over the entry routes; a
+    route's host link ascends, so its valleys are its entry's).  Only
+    when some route faults or has a valley is the seeded pair sample
+    drawn, and its findings named.
     """
 
     name = "up-down"
@@ -101,25 +109,34 @@ class UpDownPass(CheckPass):
     def run(self, ctx: CheckContext, report: DiagnosticReport) -> None:
         tables = ctx.tables
         fab = ctx.fabric
+        entries = EntryRoutes(tables)
+        valley = valley_hops(fab, entries.routes)
+        if not entries.faulty and not valley.any():
+            return
         src, dst = sample_pairs(fab.num_endports, self.sample, self.seed)
-        routes = tables.flow_routes(src, dst)
         try:
-            routes.raise_fault()
+            entries.raise_fault(src, dst)
         except ValueError:
             if self.strict:
                 raise
             return  # reachability pass owns broken walks
+        entry = entries.outcome(src, dst)[0]
+        rows = np.flatnonzero(entry >= 0)
+        rows = rows[valley[entry[rows]].any(axis=1)]
         lvl = fab.node_level
-        for r, k in np.argwhere(valley_hops(fab, routes)).tolist():
-            g = int(routes.links[r, k])
-            report.add(Diagnostic(
-                code="RTE010",
-                message=(f"route {int(src[r])}->{int(dst[r])} ascends "
-                         f"from level {int(lvl[fab.port_owner[g]])} to "
-                         f"{int(lvl[fab.peer_node[g]])} after descending"),
-                loc=_link_loc(fab, g, lid=int(dst[r]),
-                              level=int(lvl[fab.port_owner[g]])),
-            ))
+        links = entries.routes.links
+        for r in rows.tolist():
+            e = int(entry[r])
+            for k in np.flatnonzero(valley[e]).tolist():
+                g = int(links[e, k])
+                report.add(Diagnostic(
+                    code="RTE010",
+                    message=(f"route {int(src[r])}->{int(dst[r])} ascends "
+                             f"from level {int(lvl[fab.port_owner[g]])} to "
+                             f"{int(lvl[fab.peer_node[g]])} after descending"),
+                    loc=_link_loc(fab, g, lid=int(dst[r]),
+                                  level=int(lvl[fab.port_owner[g]])),
+                ))
 
 
 class CdgCyclePass(CheckPass):
@@ -132,11 +149,13 @@ class CdgCyclePass(CheckPass):
         tables = ctx.tables
         fab = ctx.fabric
         try:
-            deps = channel_dependencies(tables)
+            a, b = dependency_edges(tables)
         except ValueError:
             return  # broken walks are reachability findings
-        ctx.artifacts["cdg_dependencies"] = len(deps)
-        cycle = find_cycle(deps)
+        ctx.artifacts["cdg_dependencies"] = len(a)
+        if acyclic(a, b):
+            return
+        cycle = find_cycle(set(zip(a.tolist(), b.tolist())))
         if cycle is None:
             return
         desc = " -> ".join(
@@ -244,33 +263,36 @@ class UpPortBalancePass(CheckPass):
     def run(self, ctx: CheckContext, report: DiagnosticReport) -> None:
         tables = ctx.tables
         fab = ctx.fabric
-        goes_up = fab.port_goes_up()
-        worst = 0.0
-        for row in range(fab.num_switches):
-            node = fab.num_endports + row
-            ports = fab.ports_of(node)
-            up_ports = ports[goes_up[ports]]
-            if len(up_ports) == 0:
-                continue
-            entries = tables.switch_out[row] if ctx.active is None \
-                else tables.switch_out[row][ctx.active]
-            entries = entries[entries >= 0]
-            counts = np.array([(entries == gp).sum() for gp in up_ports],
-                              dtype=np.float64)
-            if counts.sum() == 0:
-                continue
-            skew = float((counts.max() - counts.min())
-                         / max(counts.mean(), 1e-12))
-            worst = max(worst, skew)
-            if skew > self.threshold:
-                report.add(Diagnostic(
-                    code="RTE041",
-                    message=(f"destinations spread unevenly over up ports "
-                             f"(skew {skew:.2f}, counts "
-                             f"{counts.astype(int).tolist()})"),
-                    loc=Loc(switch=fab.node_names[node],
-                            level=int(fab.node_level[node])),
-                ))
+        N = fab.num_endports
+        sw_out = tables.switch_out if ctx.active is None \
+            else tables.switch_out[:, ctx.active]
+        rows, cols = np.nonzero(sw_out >= 0)
+        gp = sw_out[rows, cols]
+        # a switch counts only its own ports' entries
+        per_port = np.bincount(gp[fab.port_owner[gp] == N + rows],
+                               minlength=fab.num_ports)
+        up = np.flatnonzero(fab.port_goes_up() & (fab.port_owner >= N))
+        owner = fab.port_owner[up]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        size = np.diff(np.append(starts, len(up)))
+        counts = per_port[up].astype(np.float64)
+        total = np.add.reduceat(counts, starts)
+        spread = (np.maximum.reduceat(counts, starts)
+                  - np.minimum.reduceat(counts, starts))
+        skew = spread / np.maximum(total / size, 1e-12)
+        busy = total > 0
+        worst = float(skew[busy].max()) if busy.any() else 0.0
+        for i in np.flatnonzero(busy & (skew > self.threshold)).tolist():
+            node = int(owner[starts[i]])
+            mine = counts[starts[i]:starts[i] + size[i]]
+            report.add(Diagnostic(
+                code="RTE041",
+                message=(f"destinations spread unevenly over up ports "
+                         f"(skew {float(skew[i]):.2f}, counts "
+                         f"{mine.astype(int).tolist()})"),
+                loc=Loc(switch=fab.node_names[node],
+                        level=int(fab.node_level[node])),
+            ))
         ctx.artifacts["up_balance_worst"] = worst
 
 

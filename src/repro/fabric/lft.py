@@ -15,7 +15,10 @@ The tables are the hand-off point between routing engines and the
 consumers (HSD analysis, simulators): any router that fills a
 :class:`ForwardingTables` plugs into the rest of the library.
 :meth:`ForwardingTables.walk` is the one vectorised route walk those
-consumers read routes from (:class:`Routes`).
+consumers read routes from (:class:`Routes`).  All-pairs consumers read
+:class:`EntryRoutes` instead: one walk per used ``(first switch,
+destination)`` entry, since every route to ``d`` is a host link
+followed by such an entry's route.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .model import Fabric
 
-__all__ = ["ForwardingTables", "Routes"]
+__all__ = ["ForwardingTables", "Routes", "EntryRoutes"]
 
 
 @dataclass
@@ -84,12 +87,23 @@ class ForwardingTables:
 
     def paths_matrix(self) -> np.ndarray:
         """Hop count between every (src, dst) end-port pair; ``-1`` when a
-        route faults (see :meth:`walk`).  Mostly a validation helper."""
-        N = self.fabric.num_endports
-        src, dst = np.divmod(np.arange(N * N), N)
-        routes = self.flow_routes(src, dst)
-        hops = np.where(routes.fault == Routes.ARRIVED, routes.length, -1)
-        return hops.astype(np.int32).reshape(N, N)
+        route faults (see :meth:`walk`), read from the
+        :class:`EntryRoutes`.  Mostly a validation helper."""
+        fab = self.fabric
+        N = fab.num_endports
+        entries = EntryRoutes(self)
+        table = np.full((fab.num_switches + 1, N), -1, dtype=np.int32)
+        table[entries.rows, entries.dst] = np.where(
+            entries.fault == Routes.ARRIVED, entries.length, -1)
+        row = np.where(entries.lead >= N, entries.lead - N,
+                       fab.num_switches)
+        hops = table[row[:, 0]] if row.shape[1] == 1 \
+            else table[row, np.arange(N)]
+        src, dst = entries.host_pairs()
+        _, fault, length = entries.outcome(src, dst)
+        hops[src, dst] = np.where(fault == Routes.ARRIVED, length, -1)
+        np.fill_diagonal(hops, 0)
+        return hops
 
     # -- the route walk ----------------------------------------------------
     @property
@@ -203,13 +217,145 @@ class Routes:
         """Raise ``ValueError`` naming the earliest fault, if any: the
         lowest step, a dead cable before an unrouted hop, then the
         lowest row."""
-        bad = np.flatnonzero(self.fault)
-        if not len(bad):
-            return
-        code = self.fault[bad]
-        r = int(bad[np.lexsort((bad, code, self.length[bad]))[0]])
-        if self.fault[r] == Routes.LOOP:
-            raise ValueError("routing loop: flows did not terminate")
-        if self.fault[r] == Routes.DEAD_CABLE:
-            raise ValueError(f"flow {r} walked into a dead cable")
-        raise ValueError(f"flow {r} hit an unrouted destination")
+        _raise_earliest(self.fault, self.length)
+
+
+def _raise_earliest(fault: np.ndarray, length: np.ndarray) -> None:
+    """:meth:`Routes.raise_fault` over per-row ``fault``/``length``."""
+    bad = np.flatnonzero(fault)
+    if not len(bad):
+        return
+    r = int(bad[np.lexsort((bad, fault[bad], length[bad]))[0]])
+    if fault[r] == Routes.LOOP:
+        raise ValueError("routing loop: flows did not terminate")
+    if fault[r] == Routes.DEAD_CABLE:
+        raise ValueError(f"flow {r} walked into a dead cable")
+    raise ValueError(f"flow {r} hit an unrouted destination")
+
+
+class EntryRoutes:
+    """Every route among a set of end-ports, walked once per table entry.
+
+    The tables are destination-based, so route ``s -> d`` (``s != d``)
+    is its host link, ``host_out_port(s, d)``, followed by the route of
+    one table entry: the one at the switch that link reaches, ``(first
+    switch, d)``.  The entries some pair of ``ends`` (default: every
+    end-port) uses are walked once each by
+    :meth:`ForwardingTables.walk`, in ``(row, dst)`` order; ``fault`` and
+    ``length`` are what a route through the entry gets, its host link
+    counted and the walk's hop limit applied to the whole route.  A
+    route whose host link reaches no switch (a dead cable, or a cable
+    to a host) ends on that link (:meth:`host_pairs`).  For healthy
+    tables nothing here is as long as the pair set, unless hosts have
+    several up-ports (``host_up`` already is).
+    """
+
+    def __init__(self, tables: ForwardingTables,
+                 ends: np.ndarray | None = None) -> None:
+        fab = tables.fabric
+        N = fab.num_endports
+        S = fab.num_switches
+        self.ends = np.arange(N, dtype=np.int64) if ends is None \
+            else np.unique(np.asarray(ends, dtype=np.int64))
+        self.inside = np.zeros(N, dtype=bool)
+        self.inside[self.ends] = True
+        #: host port of route ``s -> d`` at ``[s, 0]`` (one up-port per
+        #: host) or ``[s, d]``, and the node that port reaches
+        self.host_port = fab.port_start[:N, None] if tables.host_up is None \
+            else fab.port_start[:N, None] + tables.host_up
+        self.lead = fab.peer_node[self.host_port]
+        used = np.zeros((S, N), dtype=bool)
+        if tables.host_up is None:
+            at = self.ends[self.lead[self.ends, 0] >= N]
+            row = self.lead[at, 0] - N
+            hosts = np.bincount(row, minlength=S)
+            used[:, self.ends] = (hosts > 0)[:, None]
+            # a switch's only host does not route to itself
+            alone = hosts[row] == 1
+            used[row[alone], at[alone]] = False
+        else:
+            src, dst = self.pairs_where(self.lead >= N)
+            used[self.lead[src, dst] - N, dst] = True
+        #: the used entries, ``(row, dst)``-sorted, and the id of each
+        #: ``(row, dst)`` (``-1`` where no pair uses it)
+        self.rows, self.dst = np.nonzero(used)
+        self.index = np.full((S, N), -1, dtype=np.int64)
+        self.index[self.rows, self.dst] = np.arange(len(self.rows))
+        first = tables.switch_out[self.rows, self.dst]
+        self.routes = tables.walk(first, self.dst)
+        length = self.routes.length + 1
+        fault = self.routes.fault.copy()
+        fault[first < 0] = Routes.UNROUTED
+        limit = tables.hop_limit + 1
+        fault[length > limit] = Routes.LOOP
+        self.fault = fault
+        self.length = np.minimum(length, limit)
+
+    def host_link(self, src: np.ndarray, dst: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Host port of routes ``src[i] -> dst[i]`` and the node it
+        reaches."""
+        col = dst if self.host_port.shape[1] > 1 else 0
+        return self.host_port[src, col], self.lead[src, col]
+
+    def pairs_where(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major ``(src, dst)`` pairs of ``ends``, ``src != dst``,
+        where the ``(N, 1)`` or ``(N, N)`` ``mask`` holds."""
+        N = len(self.inside)
+        keep = np.broadcast_to(mask, (N, N)) & self.inside[:, None] \
+            & self.inside[None, :]
+        np.fill_diagonal(keep, False)
+        return np.nonzero(keep)
+
+    def host_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs whose host link reaches no switch."""
+        odd = self.lead < len(self.inside)
+        if not odd.any():
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        return self.pairs_where(odd)
+
+    def outcome(self, src: np.ndarray, dst: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(entry, fault, length)`` of routes ``src[i] -> dst[i]``
+        between end-ports of the set; ``entry`` is ``-1`` for a self
+        flow (an empty route) or a route that ends on its host link."""
+        N = len(self.inside)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        _, lead = self.host_link(src, dst)
+        move = src != dst
+        at = move & (lead >= N)
+        entry = np.full(len(src), -1, dtype=np.int64)
+        entry[at] = self.index[lead[at] - N, dst[at]]
+        fault = np.where(
+            lead < 0, Routes.DEAD_CABLE,
+            np.where(lead == dst, Routes.ARRIVED, Routes.UNROUTED)
+        ).astype(np.int8)
+        fault[at] = self.fault[entry[at]]
+        fault[~move] = Routes.ARRIVED
+        length = move.astype(np.int64)
+        length[at] = self.length[entry[at]]
+        return entry, fault, length
+
+    @property
+    def faulty(self) -> bool:
+        """Whether some route of the set faults."""
+        if (self.fault != Routes.ARRIVED).any():
+            return True
+        _, fault, _ = self.outcome(*self.host_pairs())
+        return bool(fault.any())
+
+    def raise_fault(self, src: np.ndarray | None = None,
+                    dst: np.ndarray | None = None) -> None:
+        """:meth:`Routes.raise_fault` of :meth:`ForwardingTables.flow_routes`
+        over pairs ``src[i] -> dst[i]`` of ``ends``; by default every
+        ``(s, d)`` in row-major order, self flows included, built only
+        when some route faults."""
+        if src is None or dst is None:
+            if not self.faulty:
+                return
+            n = len(self.ends)
+            src, dst = np.repeat(self.ends, n), np.tile(self.ends, n)
+        _, fault, length = self.outcome(src, dst)
+        _raise_earliest(fault, length)

@@ -13,7 +13,13 @@
 """
 
 from .base import Router, build_pgft_tables
-from .deadlock import assert_deadlock_free, channel_dependencies, find_cycle
+from .deadlock import (
+    acyclic,
+    assert_deadlock_free,
+    channel_dependencies,
+    dependency_edges,
+    find_cycle,
+)
 from .dmodk import DModKRouter, dense_ranks, down_parallel_k, q_up, route_dmodk
 from .ftree import FTreeRouter, route_ftree
 from .minhop import MinHopRouter, bfs_distances, route_minhop
@@ -37,9 +43,11 @@ __all__ = [
     "Router",
     "RoutingError",
     "TypeAwareRouter",
+    "acyclic",
     "assert_deadlock_free",
     "bfs_distances",
     "channel_dependencies",
+    "dependency_edges",
     "find_cycle",
     "build_pgft_tables",
     "check_reachability",

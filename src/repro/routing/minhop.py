@@ -1,7 +1,7 @@
 """Generic minimum-hop routing with per-destination load spreading.
 
 Works on *any* fabric (no PGFT spec needed): a breadth-first distance
-field is computed from every destination end-port, and each switch
+field is computed toward every destination end-port, and each switch
 forwards toward any port whose peer is strictly closer to the
 destination.  Ties are broken either
 
@@ -28,22 +28,57 @@ __all__ = ["route_minhop", "MinHopRouter", "bfs_distances"]
 
 def bfs_distances(fabric: Fabric, sources: np.ndarray) -> np.ndarray:
     """Unweighted hop distances ``dist[i, v]`` from ``sources[i]`` to every
-    node ``v`` (vectorised frontier BFS over all sources at once)."""
+    node ``v`` (``-1`` where unreachable).
+
+    The breadth-first search runs from the switches: an end-port source
+    ``h`` takes ``dist(h, v) = 1 + min`` over its live neighbours ``u``
+    of ``dist(u, v)``, exact because every path out of ``h`` starts at
+    a neighbour.  At n1944 that is 108 leaf searches instead of 1944.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    N = fabric.num_endports
+    host = np.flatnonzero(sources < N)
+    switch = np.flatnonzero(sources >= N)
+    # the live neighbours of every end-port source: (host row, node)
+    degree = np.diff(fabric.port_start)[sources[host]]
+    row = np.repeat(np.arange(len(host)), degree)
+    gp = fabric.port_start[sources[host[row]]] + np.arange(len(row)) \
+        - np.repeat(np.cumsum(degree) - degree, degree)
+    nbr = fabric.peer_node[gp]
+    live = (nbr >= 0) & (nbr != sources[host[row]])
+    row, nbr = row[live], nbr[live]
+    roots = np.unique(np.concatenate([sources[switch], nbr]))
+    field = _bfs(fabric, roots)
+    dist = np.full((len(sources), fabric.num_nodes), -1, dtype=np.int32)
+    dist[switch] = field[np.searchsorted(roots, sources[switch])]
+    # unreachable reads as the largest int32, so a minimum skips it
+    far = np.iinfo(np.int32).max
+    near = np.full((len(host), fabric.num_nodes), far, dtype=np.int32)
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    for k in range(int(rank.max()) + 1 if len(rank) else 0):
+        at = rank == k
+        hop = field[np.searchsorted(roots, nbr[at])]
+        near[row[at]] = np.minimum(near[row[at]],
+                                   np.where(hop >= 0, hop, far))
+    dist[host] = np.where(near < far, near + 1, -1)
+    dist[host, sources[host]] = 0
+    return dist
+
+
+def _bfs(fabric: Fabric, roots: np.ndarray) -> np.ndarray:
+    """Frontier BFS from every root at once: ``dist[i, v]``."""
     V = fabric.num_nodes
-    S = len(sources)
+    S = len(roots)
     dist = np.full((S, V), -1, dtype=np.int32)
-    dist[np.arange(S), sources] = 0
-    # Neighbor lists in CSR form mirroring the port layout.
-    peer = fabric.peer_node  # (P,)
+    dist[np.arange(S), roots] = 0
+    peer = fabric.peer_node
+    valid = peer >= 0
     frontier = dist == 0
     d = 0
     while frontier.any():
         d += 1
-        # Nodes adjacent to the frontier: a node v is adjacent iff any of
-        # its ports' peers is in the frontier.
-        # Compute per-port "peer in frontier", then OR-reduce per owner.
+        # a node is next when one of its ports' peers is in the frontier
         pin = np.zeros((S, fabric.num_ports), dtype=bool)
-        valid = peer >= 0
         pin[:, valid] = frontier[:, peer[valid]]
         nxt = np.zeros((S, V), dtype=bool)
         np.logical_or.reduceat(pin, fabric.port_start[:-1], axis=1, out=nxt)

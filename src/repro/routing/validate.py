@@ -15,8 +15,9 @@ raise-on-first-violation API:
 * :func:`down_port_destinations` -- per down-going directed link, the
   number of destinations whose (unique, destination-based) route uses
   it; theorem 2 states D-Mod-K yields at most one on complete RLFTs.
-  This is the deliberately scalar *reference* that cross-validates the
-  vectorised :func:`repro.analysis.hsd.down_port_destination_counts`.
+  This deliberately scalar form is a test oracle only: the lint reads
+  the table-native :func:`repro.analysis.hsd.down_port_destination_counts`,
+  and the tests hold the two equal.
 * :func:`trace_route` -- one route, hop by hop: the scalar oracle of
   :meth:`~repro.fabric.lft.ForwardingTables.walk`, the one vectorised
   walk every other route consumer is a view over.
