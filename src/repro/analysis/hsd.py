@@ -249,6 +249,7 @@ def batched_sequence_hsd(
 
 def down_port_destination_counts(tables: ForwardingTables,
                                  active: np.ndarray | None = None,
+                                 entries: EntryRoutes | None = None,
                                  ) -> np.ndarray:
     """Distinct destinations per down-going directed link under all-to-all
     traffic (theorem 2), read from the tables' entry routes
@@ -256,11 +257,13 @@ def down_port_destination_counts(tables: ForwardingTables,
     when the route of some entry toward ``d`` that a pair uses crosses
     it.  ``active`` restricts the all-to-all to a job's active end-ports
     (theorem 2 only binds the traffic a partially populated job can
-    generate).  A route fault raises the ``ValueError`` of the
-    all-pairs walk."""
+    generate); ``entries``, when given, must be ``EntryRoutes(tables,
+    active)``.  A route fault raises the ``ValueError`` of the all-pairs
+    walk."""
     fab = tables.fabric
     N = fab.num_endports
-    entries = EntryRoutes(tables, active)
+    if entries is None:
+        entries = EntryRoutes(tables, active)
     entries.raise_fault()
     rows, gports = entries.routes.flat()
     dst = entries.dst[rows]

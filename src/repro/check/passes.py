@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..collectives.cps import CPS
-from ..fabric.lft import ForwardingTables
+from ..fabric.lft import EntryRoutes, ForwardingTables
 from ..fabric.model import Fabric
 from .diagnostics import DiagnosticReport
 
@@ -76,6 +76,20 @@ class CheckContext:
     active: np.ndarray | None = None
     faults: "FaultSchedule | None" = None
     artifacts: dict[str, Any] = field(default_factory=dict)
+    _entries: dict[bytes | None, EntryRoutes] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def entry_routes(self, ends: np.ndarray | None = None) -> EntryRoutes:
+        """``EntryRoutes(self.tables, ends)``, built once per context and
+        shared by every pass that reads entry routes.  It is kept off
+        ``artifacts``, the pipeline's published outputs."""
+        key = None if ends is None \
+            else np.asarray(ends, dtype=np.int64).tobytes()
+        if key not in self._entries:
+            if self.tables is None:
+                raise ValueError("entry routes need forwarding tables")
+            self._entries[key] = EntryRoutes(self.tables, ends)
+        return self._entries[key]
 
     @classmethod
     def for_tables(cls, tables: ForwardingTables,

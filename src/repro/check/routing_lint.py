@@ -5,8 +5,10 @@ context; none mutate it.  The all-pairs checks read the tables, not an
 N² route walk: the tables are destination-based, so every (src, dst)
 route is its host link followed by the route of one ``(first switch,
 destination)`` entry, and :class:`~repro.fabric.lft.EntryRoutes` walks
-each used entry once (~5.8k entries for 105k pairs at n324).  Only
-failing or sampled pairs are walked one by one, to render findings:
+each used entry once (~5.8k entries for 105k pairs at n324).  One
+``EntryRoutes`` per context (:meth:`CheckContext.entry_routes`) serves
+the reachability, up-down, CDG and down-balance passes.  Only failing
+or sampled pairs are walked one by one, to render findings:
 
 * ``RTE001``/``RTE002`` reachability (dead ends, loops), named from
   each failing route's fault code,
@@ -32,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.hsd import down_port_destination_counts
-from ..fabric.lft import EntryRoutes, Routes
+from ..fabric.lft import Routes
 from ..routing.deadlock import acyclic, dependency_edges, find_cycle
 from ..routing.minhop import bfs_distances
 from .common import link_loc as _link_loc
@@ -61,7 +63,7 @@ class ReachabilityPass(CheckPass):
     def run(self, ctx: CheckContext, report: DiagnosticReport) -> None:
         tables = ctx.tables
         fab = ctx.fabric
-        hops = tables.paths_matrix()
+        hops = tables.paths_matrix(ctx.entry_routes())
         ctx.artifacts["hops"] = hops
         src, dst = np.nonzero(hops < 0)
         if not len(src):
@@ -109,7 +111,7 @@ class UpDownPass(CheckPass):
     def run(self, ctx: CheckContext, report: DiagnosticReport) -> None:
         tables = ctx.tables
         fab = ctx.fabric
-        entries = EntryRoutes(tables)
+        entries = ctx.entry_routes()
         valley = valley_hops(fab, entries.routes)
         if not entries.faulty and not valley.any():
             return
@@ -149,7 +151,7 @@ class CdgCyclePass(CheckPass):
         tables = ctx.tables
         fab = ctx.fabric
         try:
-            a, b = dependency_edges(tables)
+            a, b = dependency_edges(tables, ctx.entry_routes())
         except ValueError:
             return  # broken walks are reachability findings
         ctx.artifacts["cdg_dependencies"] = len(a)
@@ -233,7 +235,9 @@ class DownPortBalancePass(CheckPass):
         tables = ctx.tables
         fab = ctx.fabric
         try:
-            counts = down_port_destination_counts(tables, active=ctx.active)
+            counts = down_port_destination_counts(
+                tables, active=ctx.active,
+                entries=ctx.entry_routes(ctx.active))
         except ValueError:
             return
         ctx.artifacts["down_port_counts"] = counts

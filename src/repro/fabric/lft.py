@@ -85,13 +85,16 @@ class ForwardingTables:
                 lines.append(f"  {dest:6d} : {local}")
         return "\n".join(lines) + "\n"
 
-    def paths_matrix(self) -> np.ndarray:
+    def paths_matrix(self, entries: "EntryRoutes | None" = None
+                     ) -> np.ndarray:
         """Hop count between every (src, dst) end-port pair; ``-1`` when a
         route faults (see :meth:`walk`), read from the
-        :class:`EntryRoutes`.  Mostly a validation helper."""
+        :class:`EntryRoutes` (``entries``, when given, must be
+        ``EntryRoutes(self)``).  Mostly a validation helper."""
         fab = self.fabric
         N = fab.num_endports
-        entries = EntryRoutes(self)
+        if entries is None:
+            entries = EntryRoutes(self)
         table = np.full((fab.num_switches + 1, N), -1, dtype=np.int32)
         table[entries.rows, entries.dst] = np.where(
             entries.fault == Routes.ARRIVED, entries.length, -1)

@@ -25,9 +25,11 @@ sweep: the same scoring that certifies degraded fabrics offline
 chooses the repair pushed to the switches.
 
 Because the dead-cable evolution is a pure function of the schedule,
-the whole timeline is precomputed at construction: lookups during a run
-are O(log n) bisects, and two runs against the same controller see
-identical tables at identical times.
+the sweep times come from schedule algebra at construction, and each
+sweep's repair is computed the first time a run or a caller needs it
+and memoised: a run that ends before the first sweep repairs nothing,
+lookups are O(log n) bisects, and two runs against the same controller
+see identical tables at identical times.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class RepairAction:
 
 
 class HealingController:
-    """Precomputed repair timeline for one ``(tables, schedule)`` pair."""
+    """Repair timeline for one ``(tables, schedule)`` pair; each sweep's
+    repair is computed on first use."""
 
     def __init__(
         self,
@@ -84,24 +87,29 @@ class HealingController:
         self.faults = faults
         self.sweep_delay = float(sweep_delay)
         self.strategy = strategy
-        fabric = tables.fabric
         # One sweep per distinct topology-event time; a later event
         # inside the same sweep window simply triggers its own sweep.
         sweeps: dict[float, float] = {}
         for e in faults.topology_events():
             sweeps.setdefault(e.time + self.sweep_delay, e.time)
-        self._times: list[float] = []
-        self._tables: list[ForwardingTables] = []
-        self._actions: list[RepairAction] = []
-        for sweep_time in sorted(sweeps):
-            dead = faults.dead_gports_at(fabric, sweep_time)
+        #: sweep times, ascending
+        self.sweep_times: tuple[float, ...] = tuple(sorted(sweeps))
+        self._fault_times = [sweeps[t] for t in self.sweep_times]
+        self._swaps: list[tuple[ForwardingTables, RepairAction] | None] = \
+            [None] * len(self.sweep_times)
+
+    def swap(self, i: int) -> tuple[ForwardingTables, RepairAction]:
+        """The tables sweep ``i`` pushes and its action (memoised)."""
+        got = self._swaps[i]
+        if got is None:
+            sweep_time = self.sweep_times[i]
+            fabric = self.base_tables.fabric
+            dead = self.faults.dead_gports_at(fabric, sweep_time)
             degraded = fabric.with_failed_cables(dead)
-            rep = self._pick_repair(tables, degraded)
-            self._times.append(sweep_time)
-            self._tables.append(rep.tables)
+            rep = self._pick_repair(self.base_tables, degraded)
             score = score_repair(rep)
-            self._actions.append(RepairAction(
-                fault_time=sweeps[sweep_time],
+            got = self._swaps[i] = (rep.tables, RepairAction(
+                fault_time=self._fault_times[i],
                 sweep_time=sweep_time,
                 dead_cables=len(dead),
                 repaired_entries=rep.repaired_entries,
@@ -109,6 +117,7 @@ class HealingController:
                 strategy=rep.strategy,
                 worst_multiplicity=score[1],
             ))
+        return got
 
     def _pick_repair(self, tables: ForwardingTables,
                      degraded) -> RepairReport:
@@ -123,29 +132,31 @@ class HealingController:
 
     @property
     def actions(self) -> tuple[RepairAction, ...]:
-        return tuple(self._actions)
+        return self.actions_until(math.inf)
+
+    def actions_until(self, t: float) -> tuple[RepairAction, ...]:
+        """The actions of the sweeps at or before time ``t``."""
+        i = bisect.bisect_right(self.sweep_times, t)
+        return tuple(self.swap(j)[1] for j in range(i))
 
     def tables_at(self, t: float) -> ForwardingTables:
         """The tables a packet injected at time ``t`` is routed by."""
-        i = bisect.bisect_right(self._times, t)
-        return self.base_tables if i == 0 else self._tables[i - 1]
+        i = bisect.bisect_right(self.sweep_times, t)
+        return self.base_tables if i == 0 else self.swap(i - 1)[0]
 
     def swaps_after(
         self, t0: float
     ) -> list[tuple[float, ForwardingTables, RepairAction]]:
         """Repair pushes strictly after ``t0``, in order."""
-        i = bisect.bisect_right(self._times, t0)
-        return [
-            (self._times[j], self._tables[j], self._actions[j])
-            for j in range(i, len(self._times))
-        ]
+        i = bisect.bisect_right(self.sweep_times, t0)
+        return [(self.sweep_times[j], *self.swap(j))
+                for j in range(i, len(self.sweep_times))]
 
     def earliest_swap(self) -> float:
         """Time of the first repair push (``inf`` when there is none)."""
-        return self._times[0] if self._times else math.inf
+        return self.sweep_times[0] if self.sweep_times else math.inf
 
     def recovery_latency(self) -> float:
         """Worst fault-to-repair latency over the timeline (0 if none)."""
-        if not self._actions:
-            return 0.0
-        return max(a.recovery_latency for a in self._actions)
+        return max((t - f for t, f in zip(self.sweep_times,
+                                          self._fault_times)), default=0.0)

@@ -41,6 +41,7 @@ experiences exactly the faults scheduled for ``[t0, ...)``.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -242,8 +243,8 @@ def run_faulty(
         flaky.pop(gpa, None)
         flaky.pop(gpb, None)
 
-    def apply_repair(tbls, action: RepairAction) -> None:
-        tables_ref[0] = tbls
+    def apply_repair(i: int) -> None:
+        tables_ref[0], action = controller.swap(i)
         applied.append(action)
         # Every parked sender may have a different next hop now.
         for gp in sorted(set(out_wait) | set(credit_wait)):
@@ -434,8 +435,11 @@ def run_faulty(
         if np.isfinite(end):
             q.schedule(end - t0, flaky_off, a, b)
     if controller is not None:
-        for sweep_time, tbls, action in controller.swaps_after(t0):
-            q.schedule(sweep_time - t0, apply_repair, tbls, action)
+        # Swaps are scheduled by index: a sweep's repair is computed
+        # only if the run is still going when it fires.
+        times = controller.sweep_times
+        for i in range(bisect.bisect_right(times, t0), len(times)):
+            q.schedule(times[i] - t0, apply_repair, i)
 
     for p in range(N):
         if sequences[p]:

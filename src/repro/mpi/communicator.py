@@ -331,9 +331,8 @@ class Communicator:
         # message even flew) never execute inside a run's event window,
         # so fold in every controller action up to the final clock.
         if self.healing is not None:
-            for act in self.healing.actions:
-                if act.sweep_time <= clock:
-                    repairs[act.sweep_time] = act
+            for act in self.healing.actions_until(clock):
+                repairs[act.sweep_time] = act
         metrics = FaultMetrics(
             messages=total,
             delivered=delivered,

@@ -30,15 +30,18 @@ __all__ = ["channel_dependencies", "dependency_edges", "acyclic",
            "find_cycle", "assert_deadlock_free"]
 
 
-def dependency_edges(tables: ForwardingTables
+def dependency_edges(tables: ForwardingTables,
+                     entries: EntryRoutes | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """All (link ``a`` -> link ``b``) dependencies induced by all-pairs
-    routes, as arrays sorted by ``(a, b)`` without repeats.  A route
-    fault raises the ``ValueError`` of the all-pairs walk."""
+    routes, as arrays sorted by ``(a, b)`` without repeats; ``entries``,
+    when given, must be ``EntryRoutes(tables)``.  A route fault raises
+    the ``ValueError`` of the all-pairs walk."""
     fab = tables.fabric
     N = fab.num_endports
     radix = int(np.diff(fab.port_start).max())
-    entries = EntryRoutes(tables)
+    if entries is None:
+        entries = EntryRoutes(tables)
     entries.raise_fault()
     links = entries.routes.links
     hop = links[:, 1:] >= 0

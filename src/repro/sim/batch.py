@@ -26,18 +26,28 @@ engine restructures the same model around three observations:
 
 2. **Messages in a wave are independent.**  Ports progress through
    their sequences autonomously, so the *k*-th messages of all ports
-   (a "wave") advance together as NumPy operations over flat
-   ``(message x hop)`` arrays -- a bucketed calendar over wave epochs
-   instead of a heap over packet events.
+   (a "wave") advance together as NumPy operations -- a bucketed
+   calendar over wave epochs instead of a heap over packet events.
+   The wave kernel is blocked: rows are grouped by packet count and
+   each group is sorted longest route first, so packet ``j`` of a
+   block advances hop by hop over contiguous prefixes (hop ``h``
+   touches the rows whose route has a hop ``h``) with no masks.  Each
+   block runs its first ``pieces - 1`` packets at ``mtu / cap`` and
+   then one last-packet step at ``last_size / cap``; the ejection
+   link's credit exemption is a slice boundary, and delivery is
+   computed once, at each row's ejection hop of its last packet.  The
+   FIFO and credit guards read one ring of per-hop tails, written in
+   place.
 
 3. **Scenarios are independent too.**  Every recurrence updates a row
    using only that row's state, so a *batch* axis folds straight into
    the row axis: the k-th messages of every port of every scenario form
    one mega-wave, and thousands of (fault schedule, ordering,
    placement, credit regime) variants advance as a single program.
-   ``PacketSimulator(engine="vector")`` is a batch of one.  The
-   :class:`~repro.faults.controller.HealingController` repair
-   precomputation is only paid for elements that need the event core.
+   ``PacketSimulator(engine="vector")`` is a batch of one.  A
+   :class:`~repro.faults.controller.HealingController` computes a
+   sweep's repair only if an event-core run reaches that sweep, so
+   fast elements pay for none.
 
 Soundness is *checked, not assumed*, per element:
 
@@ -62,8 +72,8 @@ Soundness is *checked, not assumed*, per element:
 * **faults** -- a live repair before the element's last delivery, or a
   fault window intersecting the element's occupancy (a cheap
   min-enter/max-exit envelope prunes schedules that cannot intersect),
-  demotes the element.  With ``sweep_delay`` instead of a prebuilt
-  controller, the earliest-swap time comes from schedule algebra alone.
+  demotes the element.  The earliest-swap time is schedule algebra; no
+  repair is computed for it.
 
 A demoted element runs through the event core on its own, so every
 element's result is bit-identical to its solo run, fast or not.
@@ -136,12 +146,10 @@ class ScenarioSpec:
     array form skips all per-element Python flattening and is what
     :func:`ordering_batch` builds for whole placement grids at once.
 
-    ``sweep_delay`` requests self-healing semantics without paying for
-    the repair timeline up front: the batch engine derives the
-    earliest-swap time from the schedule alone and only constructs the
-    :class:`~repro.faults.controller.HealingController` (identical to
-    ``HealingController(tables, faults, sweep_delay, strategy)``) if
-    the element is demoted to the event core.  Pass ``healing`` to
+    ``sweep_delay`` requests self-healing semantics: the batch engine
+    builds ``HealingController(tables, faults, sweep_delay, strategy)``
+    for the element, which computes a sweep's repair only if the
+    element's event-core run reaches that sweep.  Pass ``healing`` to
     reuse a prebuilt controller instead.
     """
 
@@ -308,12 +316,10 @@ class BatchElement:
         spec = self._spec
         seqs = spec.elements[self.index].materialize_sequences(
             spec.tables.fabric.num_endports)
-        records = [
-            MessageRecord(int(self._src[m]), int(self._dst[m]),
-                          float(self._size[m]), float(self._start[m]),
-                          float(self._inject[m]), float(self._finish[m]))
-            for m in range(len(self._src))
-        ]
+        records = list(map(
+            MessageRecord, self._src.tolist(), self._dst.tolist(),
+            self._size.tolist(), self._start.tolist(),
+            self._inject.tolist(), self._finish.tolist()))
         stats = PacketEngineStats(
             engine="vector", fast_path=True, fallback=False, conflicts=0,
             messages=self._n_real, packets=self._packets,
@@ -354,79 +360,128 @@ class BatchResult:
 def _advance_wave(cal, limit, f0, links, length, caps, pieces, last_size):
     """Advance one wave of isolated messages through the recurrence.
 
-    All arrays are per-message rows (R messages).  Returns
-    ``(inject, finish, host_tail, enter, exit)`` where ``enter``/``exit``
-    bound each message's occupancy of each of its route links.
+    All arrays are per-message rows (R messages); every route has at
+    least two hops, the host up-link and the ejection link.  Returns
+    ``(inject, finish, host_tail, enter, exit)`` where the ``(R, H)``
+    ``enter``/``exit`` bound each message's occupancy of each of its
+    route links (``inf``/``-inf`` past the route's end).
+
+    Rows are independent, so the wave advances block by block: one
+    block per packet count, rows sorted longest route first, so that
+    every hop of every packet touches one contiguous prefix of its block.
     """
     R = links.shape[0]
     H = int(length.max())
-    links = links[:, :H]
-    caps = caps[:, :H]
-    mtu = float(cal.mtu)
-    wire = cal.wire_latency
-    swl = cal.switch_latency
-    pmax = int(pieces.max())
-
-    prev_tail = np.full((R, H), -np.inf)
-    enter = np.full((R, H), np.inf)
-    f = f0.astype(np.float64, copy=True)
     inject = np.empty(R)
     finish = np.empty(R)
-    ring = None
-    if limit is not None:
-        # rel[j-limit, h] lives in slot (j % limit): it is read for
-        # packet j at hop h just before packet j's hop h+1 overwrites it.
-        ring = np.full((R, H, limit), -np.inf)
+    host_tail = np.empty(R)
+    enter = np.full((R, H), np.inf)
+    exit_ = np.full((R, H), -np.inf)
+    order = np.lexsort((-length, pieces))
+    ps = pieces[order]
+    cuts = (np.flatnonzero(ps[1:] != ps[:-1]) + 1).tolist()
+    for b0, b1 in zip([0, *cuts], [*cuts, R]):
+        rows = order[b0:b1]
+        inj, fin, tail, ent, ext = _advance_block(
+            cal, limit, int(ps[b0]), f0[rows], length[rows], caps[rows],
+            last_size[rows])
+        Hb = ent.shape[0]
+        inject[rows] = inj
+        finish[rows] = fin
+        host_tail[rows] = tail
+        enter[rows, :Hb] = ent.T
+        exit_[rows, :Hb] = ext.T
+    return inject, finish, host_tail, enter, exit_
 
-    for j in range(pmax):
-        pact = j < pieces
-        is_last = j == pieces - 1
-        psize = np.where(is_last, last_size, mtu)
 
-        # Hop 0: the host sends when the previous tail left the wire
+def _advance_block(cal, limit, npk, f0, length, caps, last_size):
+    """Advance one block of a wave: ``n`` rows of ``npk`` packets each,
+    sorted by route length, longest first.
+
+    Hop ``h`` touches the prefix of ``cnt[h]`` rows whose route has a
+    hop ``h``; of those, the first ``cnt[h+1]`` are credited and the
+    rest are on their ejection link, where the last packet delivers.
+    Returns ``(inject, finish, host_tail, enter, exit)`` with hop-major
+    ``(Hb, n)`` ``enter``/``exit``.
+    """
+    n = len(length)
+    Hb = int(length[0])
+    wire = cal.wire_latency
+    swl = cal.switch_latency
+    cnt = np.searchsorted(-length, -np.arange(Hb + 1)).tolist()
+    caps = caps[:, :Hb].T
+    enter = np.full((Hb, n), np.inf)
+    exit_ = np.full((Hb, n), -np.inf)
+    finish = np.empty(n)
+    credit = limit is not None
+    # Per-hop views (hops 1..Hb-1), built once per block: m rows live,
+    # the first c of them credited.
+    hops = list(zip(range(1, Hb), cnt[1:Hb], cnt[2:]))
+    unguarded = [None] * len(hops)
+    d_last = last_size / caps
+    last_d = [d_last[h, :m] for h, m, _ in hops]
+    last_out = [exit_[h, :m] for h, m, _ in hops]
+    if npk > 1:
+        # rel[k, h]: the tail at hop h+1 (the release of link h) of the
+        # packet in ring slot j % K -- the previous packet's for the FIFO
+        # guard, packet j-limit's for the credit guard.  Credited slots
+        # start released (-inf): the first packets ride the initial
+        # credits.  The ejection link has no credit and no route has
+        # links past it, so those entries start at +inf: no guard reads
+        # them, and one that strayed past the slice boundary would show
+        # as an infinite time rather than a silent no-op.
+        K = limit if credit else 1
+        rel = np.full((K, Hb, n), -np.inf)
+        for h in range(Hb):
+            rel[:, h, cnt[h + 1]:] = np.inf
+        d_mtu = float(cal.mtu) / caps
+        body_d = [d_mtu[h, :m] for h, m, _ in hops]
+        tails = [[rel[k, h - 1, :m] for h, m, _ in hops] for k in range(K)]
+        credits = [[rel[k, h, :c] if credit and c else None
+                    for h, _, c in hops] for k in range(K)]
+    f = f0
+    for j in range(npk):
+        last = j == npk - 1
+        if j:
+            fifo = tails[(j - 1) % K]
+            cred = credits[j % K]
+        else:
+            fifo = cred = unguarded
+        # Hop 0: the host sends when its previous tail left the wire
         # and (finite buffers) the leaf advertised a credit.
         s = f
-        if ring is not None:
-            s = np.maximum(s, ring[:, 0, j % limit])
-        tail = s + psize / caps[:, 0]
+        if j and credit:
+            s = np.maximum(s, rel[j % K, 0])
+        f = s + (d_last[0] if last else d_mtu[0])
         if j == 0:
-            inject = s.copy()
-            enter[:, 0] = s
-        f = np.where(pact, tail, f)
-        prev_tail[:, 0] = np.where(pact, tail, prev_tail[:, 0])
-
-        s_prev = s
-        for h in range(1, H):
-            hact = pact & (h < length)
-            a = s_prev + wire
-            s = np.maximum(a + swl, prev_tail[:, h])
-            if ring is not None:
-                # The ejection link never blocks on credits (the host
-                # drains unconditionally): mask the final hop out.
-                cr = np.where(h < length - 1, ring[:, h, j % limit], -np.inf)
-                s = np.maximum(s, cr)
-            tail_h = s + psize / caps[:, h]
-            if ring is not None:
-                ring[:, h - 1, j % limit] = np.where(
-                    hact, tail_h, ring[:, h - 1, j % limit])
-            prev_tail[:, h] = np.where(hact, tail_h, prev_tail[:, h])
-            enter[:, h] = np.where(hact, np.minimum(enter[:, h], a),
-                                   enter[:, h])
-            fin_mask = hact & is_last & (h == length - 1)
-            if fin_mask.any():
-                # Cut-through delivery: header reaches the host a wire
-                # latency after the ejection transmit starts, the tail
-                # one serialisation later.
-                deliver = (s + wire) + psize / caps[:, h]
-                finish = np.where(fin_mask, deliver, finish)
-            s_prev = s
-
-    exit_ = prev_tail.copy()
-    if ring is not None:
+            inject = s
+            enter[0] = s
+        for (h, m, c), pv, cv, dv, out in zip(
+                hops, fifo, cred, last_d if last else body_d,
+                last_out if last else tails[j % K]):
+            s = s[:m] + wire
+            if j == 0:
+                # Times never decrease from one packet to the next, so a
+                # message first enters a link with its head packet.
+                enter[h, :m] = s
+            s += swl
+            if pv is not None:
+                np.maximum(s, pv, out=s)
+            if cv is not None:
+                np.maximum(s[:c], cv, out=s[:c])
+            np.add(s, dv, out=out)
+            if last:
+                # Cut-through delivery: the header reaches the host a
+                # wire latency after the ejection transmit starts, the
+                # tail one serialisation later.
+                finish[c:m] = (s[c:m] + wire) + dv[c:m]
+    exit_[0] = f
+    if credit:
         # With finite buffers a message still owns a slot on link h
         # until its tail clears link h+1.
-        for h in range(H - 1):
-            exit_[:, h] = np.maximum(exit_[:, h], prev_tail[:, h + 1])
+        for h in range(Hb - 1):
+            c = cnt[h + 1]
+            np.maximum(exit_[h, :c], exit_[h + 1, :c], out=exit_[h, :c])
     return inject, finish, f, enter, exit_
 
 
@@ -441,25 +496,11 @@ def _element_conflicts(la: np.ndarray, ea: np.ndarray,
     return int(overlap.sum())
 
 
-def _earliest_swap(el: ScenarioSpec) -> float:
-    """``HealingController.earliest_swap()`` without the controller.
-
-    The controller keys one sweep per distinct ``event.time +
-    sweep_delay`` and reports the minimum -- pure schedule algebra, so
-    the lazy path computes the identical float without any repair
-    precomputation."""
-    if el.healing is not None:
-        return el.healing.earliest_swap()
-    if el.sweep_delay is None or el.faults is None:
-        return math.inf
-    events = el.faults.topology_events()
-    if not events:
-        return math.inf
-    return min(e.time + el.sweep_delay for e in events)
-
-
 def _lazy_healing(tables: ForwardingTables,
                   el: ScenarioSpec) -> "HealingController | None":
+    """The element's controller: its own, or one built from
+    ``sweep_delay`` (cheap: a controller computes a sweep's repair only
+    when a run reaches that sweep)."""
     if el.healing is not None:
         return el.healing
     if el.sweep_delay is None or el.faults is None:
@@ -510,20 +551,16 @@ def _flatten_element(el: ScenarioSpec, num_endports: int
     """(src, dst, size, wave) rows of one element, in row-major
     (port, seq) order -- the event core's record order."""
     if el.sequences is not None:
-        src_l: list[int] = []
-        dst_l: list[int] = []
-        size_l: list[float] = []
-        wave_l: list[int] = []
-        for p, seq in enumerate(el.sequences):
-            for k, (d, s) in enumerate(seq):
-                src_l.append(p)
-                dst_l.append(int(d))
-                size_l.append(float(s))
-                wave_l.append(k)
-        return (np.asarray(src_l, dtype=np.int64),
-                np.asarray(dst_l, dtype=np.int64),
-                np.asarray(size_l, dtype=np.float64),
-                np.asarray(wave_l, dtype=np.int64))
+        counts = np.asarray([len(seq) for seq in el.sequences],
+                            dtype=np.int64)
+        src = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        first = np.cumsum(counts) - counts
+        wave = np.arange(len(src), dtype=np.int64) - np.repeat(first, counts)
+        dst = np.asarray([d for seq in el.sequences for d, _ in seq],
+                         dtype=np.int64)
+        size = np.asarray([s for seq in el.sequences for _, s in seq],
+                          dtype=np.float64)
+        return src, dst, size, wave
     nmsg = el.nmsg
     K = el.dst.shape[1] if el.dst.ndim == 2 else 0
     if K == 0 or not nmsg.any():
@@ -883,7 +920,9 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
         el = spec.elements[members[g]]
         faults = el.faults
         if faults is not None and not faults.is_empty() and has_ivals[g]:
-            if _earliest_swap(el) < makespan[g] + CONFLICT_MARGIN:
+            healing = _lazy_healing(tables, el)
+            if healing is not None and \
+                    healing.earliest_swap() < makespan[g] + CONFLICT_MARGIN:
                 _demote(e, "fault", stats)
                 continue
             key = id(faults)
