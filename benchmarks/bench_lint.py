@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import pickle
-import resource
 import statistics
 import subprocess
 import sys
@@ -109,6 +108,20 @@ def _digest(report, artifacts):
     return h.hexdigest()
 
 
+def _own_peak_rss_mb():
+    """This process's own peak resident set (``VmHWM``).
+
+    ``getrusage(RUSAGE_SELF).ru_maxrss`` is no use here: on Linux it
+    keeps the parent's high-water mark across fork and exec, so a child
+    of a large test session reports the session's peak.
+    """
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM line in /proc/self/status")
+
+
 def _child(topo, mode):
     """One certification in this (fresh) process; prints JSON."""
     ctx = _context(topo)
@@ -116,8 +129,7 @@ def _child(topo, mode):
     print(json.dumps({
         "wall_s": sum(seconds.values()),
         "passes_s": seconds,
-        "peak_rss_mb": resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _own_peak_rss_mb(),
         "digest": _digest(report, artifacts),
         "certificates": len(artifacts.get("certificates", [])),
     }))

@@ -41,7 +41,6 @@ from .base import build_pgft_tables
 __all__ = [
     "q_up",
     "q_profile",
-    "q_split",
     "down_parallel_k",
     "route_dmodk",
     "DModKRouter",
@@ -84,19 +83,6 @@ def q_profile(spec: PGFTSpec, dest: np.ndarray | int) -> np.ndarray:
         out[level - 1] = (dest // Wp[level - 1]) % (
             spec.w[level - 1] * spec.p[level - 1])
     return out
-
-
-def q_split(spec: PGFTSpec, level: int, dest: np.ndarray | int
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose ``Q_level(dest)`` into ``(w_digit, parallel_k)``.
-
-    The up-port ordinal ``Q = e + k * w_level`` addresses parent w-digit
-    ``e`` over parallel cable ``k``; the pair is what both the wiring
-    rule (paper Fig. 5) and the down-path retrace (lemma 5) consume.
-    """
-    q = q_up(spec, level, dest)
-    w = spec.w[level - 1]
-    return q % w, q // w
 
 
 def dense_ranks(num_endports: int, active: np.ndarray | None) -> np.ndarray:

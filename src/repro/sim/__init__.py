@@ -24,7 +24,6 @@ from .metrics import (
     bandwidth_lower_bound,
     delivered_fraction,
     efficiency,
-    goodput_timeline,
     ideal_sequence_time,
     link_byte_loads,
     utilization_report,
@@ -63,7 +62,6 @@ __all__ = [
     "cps_workload_arrays",
     "delivered_fraction",
     "efficiency",
-    "goodput_timeline",
     "ideal_sequence_time",
     "link_byte_loads",
     "merge_sequences",

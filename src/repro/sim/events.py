@@ -1,11 +1,14 @@
 """Minimal discrete-event simulation core.
 
-A deterministic event queue shared by the fluid simulator and the
-event-driven packet core: events fire in (time, sequence) order, so
-equal-time events run in scheduling order and runs are exactly
-reproducible.  :meth:`EventQueue.step` runs one event;
-:meth:`EventQueue.run` drains the queue.  (The packet engine's wave
-calendar, :mod:`repro.sim.batch`, needs no queue at all.)
+A deterministic, general-purpose event queue: events fire in (time,
+sequence) order, so equal-time events run in scheduling order and runs
+are exactly reproducible.  :meth:`EventQueue.step` runs one event;
+:meth:`EventQueue.run` drains the queue.  No simulator in the package
+runs on it: the fluid simulator advances between rate changes, the
+packet engine's wave calendar (:mod:`repro.sim.batch`) needs no queue,
+and the event-driven packet core (:mod:`repro.faults.packetsim`) keeps
+its own calendar with the same firing order.  :class:`SimulationError`
+is the error every simulator raises on an inconsistent state.
 """
 
 from __future__ import annotations

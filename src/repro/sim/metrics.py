@@ -17,7 +17,6 @@ __all__ = [
     "efficiency",
     "bandwidth_lower_bound",
     "delivered_fraction",
-    "goodput_timeline",
     "link_byte_loads",
     "utilization_report",
     "zero_load_latencies",
@@ -154,32 +153,6 @@ def delivered_fraction(records) -> float:
     if not real:
         return 1.0
     return sum(1 for m in real if m.finish >= 0) / len(real)
-
-
-def goodput_timeline(
-    records, bin_us: float = 100.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Delivered goodput vs. time: ``(bin_edges, bytes_per_us)``.
-
-    Buckets each delivered message's bytes at its finish time into
-    ``bin_us``-wide bins -- the degradation curve of a faulty run (the
-    dip after a failure and the ramp after the repair are directly
-    visible).  Returns empty arrays when nothing was delivered.
-    """
-    if bin_us <= 0:
-        raise ValueError("bin_us must be positive")
-    done = [(m.finish, m.size) for m in records
-            if m.size > 0 and m.src != m.dst and m.finish >= 0]
-    if not done:
-        return np.empty(0), np.empty(0)
-    t = np.asarray([d[0] for d in done])
-    b = np.asarray([d[1] for d in done])
-    n_bins = int(np.floor(t.max() / bin_us)) + 1
-    edges = np.arange(n_bins + 1) * bin_us
-    idx = np.minimum((t / bin_us).astype(np.int64), n_bins - 1)
-    per_bin = np.zeros(n_bins)
-    np.add.at(per_bin, idx, b)
-    return edges, per_bin / bin_us
 
 
 def bandwidth_lower_bound(

@@ -26,8 +26,9 @@ bit-identical results:
   results are *always* exactly those of the reference engine.
 * ``engine="reference"`` -- the event-driven core,
   :func:`repro.faults.packetsim.run_faulty`, on an empty schedule when
-  none is given: one heap event per packet-hop, the semantic ground
-  truth for differential testing.
+  none is given: two calendar events per packet-hop (arrival and
+  transmit completion), the semantic ground truth for differential
+  testing.
 
 Every run's result comes from :meth:`PacketSimulator._finalize`.
 Without a fault schedule a lost message is an error: a packet routed
@@ -38,7 +39,9 @@ message.  Under a schedule, losses are reported in
 Remaining simplifications vs. real InfiniBand: a single virtual lane,
 FIFO (not VOQ) inputs, FCFS output arbitration.  With the vectorized
 engine, paper-scale fabrics (n324 and beyond) run directly; the
-reference engine remains practical up to a few dozen end-ports.
+reference engine, which every contended run falls back to, prices a
+random-order n324 4 x 32 KB shift (20 736 packets) in well under a
+second and the same shift at n1944 in a few seconds.
 """
 
 from __future__ import annotations
