@@ -44,10 +44,14 @@ engine restructures the same model around three observations:
    the row axis: the k-th messages of every port of every scenario form
    one mega-wave, and thousands of (fault schedule, ordering,
    placement, credit regime) variants advance as a single program.
-   ``PacketSimulator(engine="vector")`` is a batch of one.  A
-   :class:`~repro.faults.controller.HealingController` computes a
-   sweep's repair only if an event-core run reaches that sweep, so
-   fast elements pay for none.
+   Elements that share a workload (equal ``dst``/``size``/``nmsg``
+   arrays, or one ``sequences`` object) and a credit regime share their
+   rows: each distinct workload is advanced and conflict-screened once,
+   and each element screens its own fault schedule against that
+   workload's occupancy.  ``PacketSimulator(engine="vector")`` is a
+   batch of one.  A :class:`~repro.faults.controller.HealingController`
+   computes a sweep's repair only if an event-core run reaches that
+   sweep, so fast elements pay for none.
 
 Soundness is *checked, not assumed*, per element:
 
@@ -66,8 +70,8 @@ Soundness is *checked, not assumed*, per element:
   output -- and the element is demoted.  If none overlap, a
   first-divergence induction gives that the event engine would never
   have executed a contended guard either, so the analytic timestamps
-  are exact.  A conservative per-``(element, link)`` screen runs inside
-  the wave loop; only screened elements get the exact lexsorted scan,
+  are exact.  A conservative per-``(workload, link)`` screen runs inside
+  the wave loop; only screened workloads get the exact lexsorted scan,
   which also counts the conflicting pairs;
 * **faults** -- a live repair before the element's last delivery, or a
   fault window intersecting the element's occupancy (a cheap
@@ -195,12 +199,11 @@ class ScenarioSpec:
         """The list-of-lists workload (built from arrays on demand)."""
         if self.sequences is not None:
             return self.sequences
-        seqs: list[list[tuple[int, float]]] = []
-        for p in range(num_endports):
-            n = int(self.nmsg[p])
-            seqs.append([(int(self.dst[p, k]), float(self.size[p, k]))
-                         for k in range(n)])
-        return seqs
+        rows = slice(0, num_endports)
+        dst = self.dst[rows].astype(np.int64).tolist()
+        size = self.size[rows].astype(np.float64).tolist()
+        nmsg = self.nmsg[rows].astype(np.int64).tolist()
+        return [list(zip(d[:n], s[:n])) for d, s, n in zip(dst, size, nmsg)]
 
 
 @dataclass
@@ -518,10 +521,10 @@ def _lazy_healing(tables: ForwardingTables,
 
 @dataclass
 class _Flat:
-    """Flat struct-of-arrays for one credit group, rows contiguous per
-    element in original element order."""
+    """Flat struct-of-arrays for one chunk of distinct workloads, rows
+    contiguous per workload in chunk order."""
 
-    elem: np.ndarray      # group-local element index per message row
+    elem: np.ndarray      # chunk-local workload index per message row
     src: np.ndarray
     dst: np.ndarray
     size: np.ndarray
@@ -651,40 +654,70 @@ def _demote(e: BatchElement, reason: str, stats: BatchStats) -> None:
             getattr(stats, f"fallback_{reason}") + 1)
 
 
-#: Elements advanced per folded pass.  Chunking bounds peak memory (the
-#: credit ring is O(rows x hops x limit) floats) and keeps the
-#: per-(element, link) screen arrays cache-resident, so 100k-element
+#: Distinct workloads advanced per folded pass.  Chunking bounds peak
+#: memory (the credit ring is O(rows x hops x limit) floats) and keeps
+#: the per-(workload, link) screen arrays cache-resident, so 100k-element
 #: batches scale linearly instead of thrashing.
 _CHUNK_ELEMS = 256
+
+
+def _distinct_workloads(elements: list[ScenarioSpec],
+                        members: list[int]) -> list[list[int]]:
+    """``members`` grouped by workload, in order of first appearance:
+    array-form elements by the shape, dtype and bytes of
+    ``dst``/``size``/``nmsg``, sequence-form elements by the identity of
+    their ``sequences``.  The keys (a copy of every array workload's
+    bytes) are dropped on return."""
+    users: dict[Any, list[int]] = {}
+    for i in members:
+        el = elements[i]
+        key = id(el.sequences) if el.sequences is not None else tuple(
+            (a.shape, a.dtype.str, a.tobytes())
+            for a in (el.dst, el.size, el.nmsg))
+        users.setdefault(key, []).append(i)
+    return list(users.values())
 
 
 def _run_group(spec: BatchSpec, limit: int | None, members: list[int],
                caps_full: np.ndarray, out: list[BatchElement],
                stats: BatchStats) -> None:
-    for c0 in range(0, len(members), _CHUNK_ELEMS):
-        _run_chunk(spec, limit, members[c0:c0 + _CHUNK_ELEMS],
+    # One wave-kernel row set per distinct workload: the kernel is
+    # row-independent, so every element sharing a workload reads the
+    # same timestamps its solo run would produce.
+    workloads = _distinct_workloads(spec.elements, members)
+    for c0 in range(0, len(workloads), _CHUNK_ELEMS):
+        _run_chunk(spec, limit, workloads[c0:c0 + _CHUNK_ELEMS],
                    caps_full, out, stats)
 
 
-def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
-               caps_full: np.ndarray, out: list[BatchElement],
-               stats: BatchStats) -> None:
+def _run_chunk(spec: BatchSpec, limit: int | None,
+               workloads: list[list[int]], caps_full: np.ndarray,
+               out: list[BatchElement], stats: BatchStats) -> None:
+    """Price each distinct workload of the chunk once; ``workloads[g]``
+    lists the elements that share workload ``g``.  The flat build, the
+    route walk, the budget check, the wave kernel and the conflict
+    screen run per workload; each element then applies its own faults
+    to its workload's occupancy."""
     tables = spec.tables
     fab = spec.tables.fabric
     N = fab.num_endports
     P = fab.num_ports
     cal = spec.calibration
     mtu = float(cal.mtu)
-    Bg = len(members)
+    Bg = len(workloads)
 
-    # -- flat build (rows contiguous per element) ----------------------
-    specs = [spec.elements[gi] for gi in members]
+    def demote(g: int, reason: str) -> None:
+        for i in workloads[g]:
+            _demote(out[i], reason, stats)
+
+    # -- flat build (rows contiguous per workload) ---------------------
+    specs = [spec.elements[users[0]] for users in workloads]
     uniform_k = (all(el.dst is not None for el in specs)
                  and len({el.dst.shape for el in specs}) == 1)
     if uniform_k and specs[0].dst.shape[1] > 0:
-        # Grid case: every element is array-form with one (N, K) shape;
+        # Grid case: every workload is array-form with one (N, K) shape;
         # flatten the whole chunk in one row-major nonzero (same
-        # element-major/port-major/seq row order as the per-element
+        # workload-major/port-major/seq row order as the per-workload
         # path).
         dst3 = np.stack([el.dst for el in specs])
         size3 = np.stack([el.size for el in specs])
@@ -714,29 +747,29 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
     last_size = np.where(rest > 1e-12, rest, np.where(full >= 1, mtu, size))
     n_real = np.bincount(elem[real], minlength=Bg)
     packets = np.bincount(elem[real], weights=pieces[real], minlength=Bg)
-    for g in range(Bg):
-        e = out[members[g]]
-        e._n_real = int(n_real[g])
-        e._packets = int(packets[g])
+    for g, users in enumerate(workloads):
+        for i in users:
+            out[i]._n_real = int(n_real[g])
+            out[i]._packets = int(packets[g])
 
     # Hosts inject on their rail-0 up port, as in the event core; a
-    # faulted route demotes its element and the event core diagnoses it.
+    # faulted route demotes its elements and the event core diagnoses it.
     routes = tables.walk(fab.port_start[src[real]], dst[real])
     links, length = routes.links, routes.length
     bad = routes.fault != routes.ARRIVED
     elem_ok = np.ones(Bg, dtype=bool)
     if bad.any():
         for g in np.unique(elem[real][bad]):
-            _demote(out[members[int(g)]], "route", stats)
+            demote(int(g), "route")
             elem_ok[int(g)] = False
 
-    # Event budget, per element: the event core's packet-arrival count.
+    # Event budget, per workload: the event core's packet-arrival count.
     ev_rows = (pieces[real] * length).astype(np.float64)
     ev_per_elem = np.bincount(elem[real], weights=ev_rows, minlength=Bg)
     over = elem_ok & (ev_per_elem > spec.max_events)
     if over.any():
         for g in np.flatnonzero(over):
-            _demote(out[members[int(g)]], "budget", stats)
+            demote(int(g), "budget")
             elem_ok[int(g)] = False
 
     flat = _Flat(elem=elem, src=src, dst=dst, size=size, wave=wave,
@@ -752,7 +785,7 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
     # Wave-major layout: one stable (radix) sort brings every wave's
     # rows into a contiguous slice, so the hot loop advances views
     # instead of paying a fancy-index copy of links/caps per wave.
-    # Stability keeps rows element-major inside each wave.
+    # Stability keeps rows workload-major inside each wave.
     perm = np.argsort(flat.wave, kind="stable")
     wsrc = flat.src[perm]
     welem = flat.elem[perm]
@@ -776,9 +809,9 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
     winject = np.zeros(M)
     wfinish = np.zeros(M)
     t_port = np.zeros(Bg * N)
-    wfold = welem * N + wsrc  # folded (element, port) axis
+    wfold = welem * N + wsrc  # folded (workload, port) axis
 
-    # Per-(element, link) occupancy summaries for the conflict screen
+    # Per-(workload, link) occupancy summaries for the conflict screen
     # and the fault-window prefilter.
     maxx = np.full(Bg * P, -np.inf)
     minn = np.full(Bg * P, np.inf)
@@ -849,8 +882,8 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
         int_exit.append(iexit)
 
         # Conservative conflict screen.  (a) two same-wave messages on
-        # one (element, link); (b) an interval starting before the
-        # latest earlier-wave exit on its (element, link).  Clean means
+        # one (workload, link); (b) an interval starting before the
+        # latest earlier-wave exit on its (workload, link).  Clean means
         # provably pairwise-disjoint; flagged gets the exact scan.
         keys = ielem * P + ilink
         kcount = np.bincount(keys, minlength=Bg * P)
@@ -862,11 +895,11 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
         if near.any():
             cross_flag[ielem[near]] = True
         # Last-write-wins on duplicate keys is fine: only dup-flagged
-        # elements can collide, and they bypass these summaries.
+        # workloads can collide, and they bypass these summaries.
         maxx[keys] = np.maximum(prev, iexit)
         minn[keys] = np.minimum(minn[keys], ienter)
 
-    # Back to element-major for per-element result slices.
+    # Back to workload-major for per-workload result slices.
     start = np.empty(M)
     inject = np.empty(M)
     finish = np.empty(M)
@@ -878,16 +911,16 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
     ea = np.concatenate(int_enter) if int_enter else np.zeros(0)
     xa = np.concatenate(int_exit) if int_exit else np.zeros(0)
     ie = np.concatenate(int_elem) if int_elem else np.zeros(0, np.int64)
-    # Element-major interval views: stable (radix) sort by element once,
-    # then every per-element extraction below is a contiguous slice
-    # instead of a full-array mask per element.
+    # Workload-major interval views: stable (radix) sort by workload
+    # once, then every per-workload extraction below is a contiguous
+    # slice instead of a full-array mask per workload.
     iorder = np.argsort(ie, kind="stable")
     la_s = la[iorder]
     ea_s = ea[iorder]
     xa_s = xa[iorder]
     ibounds = np.searchsorted(ie[iorder], np.arange(Bg + 1))
 
-    # Per-element bookkeeping for results.
+    # Per-workload bookkeeping for results.
     counts = np.bincount(flat.elem, minlength=Bg)
     offsets = np.zeros(Bg + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -903,68 +936,72 @@ def _run_chunk(spec: BatchSpec, limit: int | None, members: list[int],
                                     * flat.length).astype(np.float64),
                            minlength=Bg)
 
-    # -- exact per-element conflict verdicts for screened elements -----
+    # -- verdicts: conflicts per workload, faults per element ----------
     flagged = dup_flag | cross_flag
     windows_cache: dict[int, list[tuple[int, int, float, float]]] = {}
-    for g in range(Bg):
-        e = out[members[g]]
-        if e.status != "fast":
+    hits: dict[tuple[int, int], bool] = {}
+
+    def fault_hits(g: int, faults: "FaultSchedule", occ) -> bool:
+        """Whether a window of ``faults`` meets workload ``g``'s
+        occupancy; memoised per (workload, schedule)."""
+        key = id(faults)
+        if (g, key) in hits:
+            return hits[g, key]
+        if key not in windows_cache:
+            wins = [(a, b, s, t) for a, b, s, t in faults.down_intervals(fab)]
+            wins += [(a, b, s, t) for a, b, s, t, _
+                     in faults.flaky_intervals(fab)]
+            windows_cache[key] = wins
+        # Envelope prune: a window that ends before every enter or
+        # starts after every exit on both cable ends cannot intersect.
+        # Dup-flagged summaries may be stale -- those workloads take the
+        # exact check unconditionally.
+        may_hit = bool(dup_flag[g])
+        if not may_hit:
+            base = g * P
+            may_hit = any(minn[base + gp] < t + CONFLICT_MARGIN
+                          and maxx[base + gp] > s - CONFLICT_MARGIN
+                          for a, b, s, t in windows_cache[key]
+                          for gp in (a, b))
+        hit = may_hit and faults.overlaps_occupancy(
+            fab, *occ, margin=CONFLICT_MARGIN)
+        hits[g, key] = hit
+        return hit
+
+    for g, users in enumerate(workloads):
+        if not elem_ok[g]:
             continue
         i0, i1 = int(ibounds[g]), int(ibounds[g + 1])
-        if flagged[g]:
-            e._conflicts = _element_conflicts(la_s[i0:i1], ea_s[i0:i1],
-                                              xa_s[i0:i1])
-            if e._conflicts:
+        occ = (la_s[i0:i1], ea_s[i0:i1], xa_s[i0:i1])
+        conflicts = _element_conflicts(*occ) if flagged[g] else 0
+        lo, hi = int(offsets[g]), int(offsets[g + 1])
+        for i in users:
+            e = out[i]
+            e._conflicts = conflicts
+            if conflicts:
                 _demote(e, "conflict", stats)
                 continue
-        el = spec.elements[members[g]]
-        faults = el.faults
-        if faults is not None and not faults.is_empty() and has_ivals[g]:
-            healing = _lazy_healing(tables, el)
-            if healing is not None and \
-                    healing.earliest_swap() < makespan[g] + CONFLICT_MARGIN:
-                _demote(e, "fault", stats)
-                continue
-            key = id(faults)
-            if key not in windows_cache:
-                wins = [(a, b, s, t)
-                        for a, b, s, t in faults.down_intervals(fab)]
-                wins += [(a, b, s, t) for a, b, s, t, _
-                         in faults.flaky_intervals(fab)]
-                windows_cache[key] = wins
-            # Envelope prune: a window that ends before every enter or
-            # starts after every exit on both cable ends cannot
-            # intersect.  Dup-flagged summaries may be stale -- those
-            # elements take the exact check unconditionally.
-            may_hit = dup_flag[g]
-            if not may_hit:
-                base = g * P
-                for a, b, s, t in windows_cache[key]:
-                    for gp in (a, b):
-                        if minn[base + gp] < t + CONFLICT_MARGIN \
-                                and maxx[base + gp] > s - CONFLICT_MARGIN:
-                            may_hit = True
-                            break
-                    if may_hit:
-                        break
-            if may_hit:
-                if faults.overlaps_occupancy(fab, la_s[i0:i1],
-                                             ea_s[i0:i1], xa_s[i0:i1],
-                                             margin=CONFLICT_MARGIN):
+            el = spec.elements[i]
+            faults = el.faults
+            if faults is not None and not faults.is_empty() \
+                    and has_ivals[g]:
+                healing = _lazy_healing(tables, el)
+                if (healing is not None and healing.earliest_swap()
+                        < makespan[g] + CONFLICT_MARGIN) \
+                        or fault_hits(g, faults, occ):
                     _demote(e, "fault", stats)
                     continue
 
-        # Fast element: attach the lazy payload.
-        lo, hi = int(offsets[g]), int(offsets[g + 1])
-        e._src = flat.src[lo:hi]
-        e._dst = flat.dst[lo:hi]
-        e._size = flat.size[lo:hi]
-        e._start = start[lo:hi]
-        e._inject = inject[lo:hi]
-        e._finish = finish[lo:hi]
-        e._makespan = float(makespan[g])
-        e._events_saved = int(ev_saved[g])
-        e._occ = (la_s[i0:i1], ea_s[i0:i1], xa_s[i0:i1])
+            # Fast element: views of its workload's results.
+            e._src = flat.src[lo:hi]
+            e._dst = flat.dst[lo:hi]
+            e._size = flat.size[lo:hi]
+            e._start = start[lo:hi]
+            e._inject = inject[lo:hi]
+            e._finish = finish[lo:hi]
+            e._makespan = float(makespan[g])
+            e._events_saved = int(ev_saved[g])
+            e._occ = occ
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ workloads) and checks full result equality: makespan, latency array,
 per-message records, and engine stats.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -326,3 +327,57 @@ class TestBatchOfOneProperty:
                               engine="vector").run_sequences(seqs)
         got = res.elements[0].packet_result()
         assert_result_identical(got, ref)
+
+
+
+def test_kernel_prices_each_distinct_workload_once(tables16, monkeypatch):
+    """A 1 024-element grid of 16 distinct placements, each repeated in
+    every chunk of the batch, advances only 16 x N rows per wave."""
+    import repro.sim.batch as batch
+
+    n = tables16.fabric.num_endports
+    stages = 4
+    cps = CPS(name="shift4", num_ranks=n, stages=shift(n).stages[:stages])
+    # topology order with the hosts of every leaf permuted alike: the
+    # traffic stays contention-free, and (unlike rotations, which shift
+    # maps onto one port-level workload) each placement is its own
+    # workload
+    perms = itertools.islice(itertools.permutations(range(4)), 16)
+    orders = np.stack([[4 * (r // 4) + p[r % 4] for r in range(n)]
+                       for p in perms])
+    dst3, _size, _nmsg = cps_workload_arrays(cps, orders, n, SIZE)
+    assert len({d.tobytes() for d in dst3}) == 16
+    grid = 1024
+    assert grid > batch._CHUNK_ELEMS
+    used = int(tables16.fabric.port_start[0])
+    scheds = [None] + [FaultSchedule(events=(
+        FaultEvent(time=t, kind="link_down", gport=used),))
+        for t in (0.0, 1e9)]
+    spec = ordering_batch(tables16, cps, np.tile(orders, (grid // 16, 1)),
+                          SIZE, credit_limit=4,
+                          faults=[scheds[i // 16 % 3] for i in range(grid)])
+    rows = []
+    advance = batch._advance_wave
+
+    def spy(cal, limit, f0, *args):
+        rows.append(len(f0))
+        return advance(cal, limit, f0, *args)
+
+    monkeypatch.setattr(batch, "_advance_wave", spy)
+    res = run_batch(spec)
+    monkeypatch.undo()
+    assert rows == [16 * n] * stages
+    # each repeat reads its workload's timestamps and demotes only on
+    # its own schedule
+    for i, e in enumerate(res.elements):
+        first = res.elements[i % 16]
+        if i // 16 % 3 == 1:
+            assert e.reason == "fault", i
+        else:
+            assert e.status == "fast", i
+            assert e.makespan == first.makespan
+            assert np.array_equal(e.latencies, first.latencies)
+    for i in (0, 17, 1023):
+        assert_result_identical(res.elements[i].packet_result(),
+                                unbatched(tables16, spec.elements[i],
+                                          credit_limit=4))
