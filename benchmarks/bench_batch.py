@@ -18,6 +18,13 @@ the collective drains; the batch side must resolve **every** element
 on the analytic fast path, each element must be **bit-identical** to
 its per-scenario run, and the batch must be **>= 50x faster**.  The
 session conftest writes the numbers to ``artifacts/BENCH_batch.json``.
+
+Under shift every rotation of a placement is one port-level workload,
+so the rotated grids price one workload and repeat it.  The
+leaf-permuted grid gives every element its own contention-free
+workload (the hosts of every leaf permuted alike, at random per
+element) and records what a grid without repeats costs per element;
+it checks bit-identity and has no speed gate.
 """
 
 import time
@@ -116,6 +123,55 @@ def test_batch_fault_grid_speedup_n324(benchmark, tables324):
         f"loop ({per_elem * 1e3:.2f} ms vs {t_loop * 1e3:.1f} ms per "
         f"element); target {MIN_SPEEDUP:.0f}x"
     )
+
+
+def test_batch_distinct_workload_fault_grid_n324(benchmark, tables324):
+    """The fault grid with no repeated workload: every element its own
+    leaf-permuted topology order.  Bit-identity against the
+    per-scenario loop; the per-element cost is recorded, not gated."""
+    fab = tables324.fabric
+    n = fab.num_endports
+    cps = CPS(name=f"shift{STAGES}", num_ranks=n,
+              stages=shift(n).stages[:STAGES])
+    leaf = fab.peer_node[fab.port_start[:n]]
+    hosts = int(np.count_nonzero(leaf == leaf[0]))
+    base = topology_order(n)
+    rng = np.random.default_rng(0)
+    ranks = np.arange(n)
+    placements = np.stack([
+        base[hosts * (ranks // hosts) + rng.permutation(hosts)[ranks % hosts]]
+        for _ in range(GRID)])
+    scheds = _schedules(fab)
+    faults = [scheds[i % NUM_SCHEDULES] for i in range(GRID)]
+    spec = ordering_batch(tables324, cps, placements, SIZE,
+                          credit_limit=4, faults=faults,
+                          sweep_delay=SWEEP_DELAY)
+    assert len({el.dst.tobytes() for el in spec.elements}) == GRID
+
+    res = benchmark.pedantic(run_batch, args=(spec,), rounds=3,
+                             iterations=1)
+    t_batch = benchmark.stats.stats.mean
+    assert res.stats.fast_path == GRID, res.stats
+
+    t0 = time.perf_counter()
+    sample = range(0, GRID, GRID // LOOP_SAMPLES)
+    for i in sample:
+        ref = _loop_once(tables324, cps, placements[i], faults[i])
+        got = res.elements[i].packet_result()
+        assert got.makespan == ref.makespan
+        assert np.array_equal(got.latencies, ref.latencies)
+        assert got.messages == ref.messages
+    t_loop = (time.perf_counter() - t0) / len(sample)
+
+    benchmark.extra_info["endports"] = n
+    benchmark.extra_info["grid"] = GRID
+    benchmark.extra_info["distinct_workloads"] = GRID
+    benchmark.extra_info["schedules"] = NUM_SCHEDULES
+    benchmark.extra_info["batch_ms_per_elem"] = round(
+        t_batch / GRID * 1e3, 3)
+    benchmark.extra_info["loop_ms_per_elem"] = round(t_loop * 1e3, 1)
+    benchmark.extra_info["speedup_vs_loop"] = round(
+        t_loop / (t_batch / GRID), 1)
 
 
 def test_batch_fault_free_ordering_grid_n324(benchmark, tables324):

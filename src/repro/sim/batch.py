@@ -79,7 +79,10 @@ Soundness is *checked, not assumed*, per element:
   demotes the element.  The earliest-swap time is schedule algebra; no
   repair is computed for it.
 
-A demoted element runs through the event core on its own, so every
+A demoted element runs through the event core once per distinct
+scenario: elements that share a workload, credit regime, fault schedule
+(by identity), healing settings and demotion reason share one run and
+each get their own copy of its result (or of its error), so every
 element's result is bit-identical to its solo run, fast or not.
 
 Results are lazy: :class:`BatchElement` holds array slices and computes
@@ -92,7 +95,7 @@ objects) is materialised only on demand through the same
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -578,7 +581,10 @@ def _flatten_element(el: ScenarioSpec, num_endports: int
 def run_batch(spec: BatchSpec) -> BatchResult:
     """Advance every element of ``spec`` through the folded wave
     calendar; demote only the elements whose analytic fast path is
-    unsound, each to its own event-core (bit-identical) run."""
+    unsound to the event core, which runs once per distinct demoted
+    scenario (workload, credit regime, fault schedule, healing settings,
+    demotion reason) and gives every element its own bit-identical
+    copy of that run's result or error."""
     tables = spec.tables
     fab = tables.fabric
     N = fab.num_endports
@@ -614,32 +620,52 @@ def run_batch(spec: BatchSpec) -> BatchResult:
     caps_full = PacketSimulator(
         tables, spec.calibration, engine="reference")._link_capacities()
 
+    # workload[i]: the first element of i's workload group, which names
+    # its (credit regime, workload) pair for the whole call
+    workload = list(range(B))
     for limit, members in zip(group_keys, group_members):
-        _run_group(spec, limit, members, caps_full, out, stats)
+        for users in _run_group(spec, limit, members, caps_full, out, stats):
+            for i in users:
+                workload[i] = users[0]
 
-    # Demoted elements: event-core runs, in original element order.
+    # Demoted elements: one event-core run per distinct scenario, in
+    # order of first appearance.  The key is everything the run reads
+    # besides the batch-wide tables, calibration and budget.
+    runs: dict[tuple, PacketResult | SimulationError] = {}
     for e in out:
         if e.status != "fallback":
             continue
         el = spec.elements[e.index]
-        try:
-            if e.reason == "budget":
-                raise SimulationError("packet event budget exhausted")
-            sim = PacketSimulator(
-                tables, spec.calibration,
-                credit_limit=spec.resolved_credit(e.index),
-                max_events=spec.max_events, engine="reference",
-                faults=el.faults, healing=_lazy_healing(tables, el))
-            e._result = sim._run_event_core(el.materialize_sequences(N))
-        except SimulationError as err:
-            e._error = err
+        key = (workload[e.index], id(el.faults),
+               id(el.healing) if el.healing is not None
+               else (el.sweep_delay, el.repair_strategy), e.reason)
+        if key not in runs:
+            try:
+                if e.reason == "budget":
+                    raise SimulationError("packet event budget exhausted")
+                sim = PacketSimulator(
+                    tables, spec.calibration,
+                    credit_limit=spec.resolved_credit(e.index),
+                    max_events=spec.max_events, engine="reference",
+                    faults=el.faults, healing=_lazy_healing(tables, el))
+                runs[key] = sim._run_event_core(el.materialize_sequences(N))
+            except SimulationError as err:
+                runs[key] = err
+        run = runs[key]
+        if isinstance(run, SimulationError):
+            e._error = SimulationError(*run.args)
             e.status = "error"
             stats.errors += 1
             continue
-        e._result.engine_stats = PacketEngineStats(
-            engine="vector", fast_path=False, fallback=True,
-            conflicts=e._conflicts, messages=e._n_real,
-            packets=e._packets, events_saved=0)
+        # Its own shell: the records and the fault report are frozen
+        # and shared, the containers are not.
+        e._result = replace(
+            run, messages=list(run.messages),
+            latencies=run.latencies.copy(),
+            engine_stats=PacketEngineStats(
+                engine="vector", fast_path=False, fallback=True,
+                conflicts=e._conflicts, messages=e._n_real,
+                packets=e._packets, events_saved=0))
     stats.fast_path = sum(1 for e in out if e.status == "fast")
     stats.events_saved = sum(e._events_saved for e in out
                              if e.status == "fast")
@@ -661,26 +687,55 @@ def _demote(e: BatchElement, reason: str, stats: BatchStats) -> None:
 _CHUNK_ELEMS = 256
 
 
+def _workload_digest(el: ScenarioSpec) -> int:
+    """A fixed-size key for an array-form workload: the hash of the
+    shape, dtype and bytes of ``dst``/``size``/``nmsg`` (the bytes are
+    dropped once hashed)."""
+    return hash(tuple((a.shape, a.dtype.str, a.tobytes())
+                      for a in (el.dst, el.size, el.nmsg)))
+
+
+def _same_workload(a: ScenarioSpec, b: ScenarioSpec) -> bool:
+    """One ``sequences`` object, or array forms with equal shapes,
+    dtypes and bytes (bytes, not values: ``np.array_equal`` would merge
+    ``-0.0`` and ``0.0`` sizes, whose records differ in their bits)."""
+    if a.sequences is not None or b.sequences is not None:
+        return a.sequences is b.sequences
+    return all(x.shape == y.shape and x.dtype == y.dtype
+               and x.tobytes() == y.tobytes()
+               for x, y in ((a.dst, b.dst), (a.size, b.size),
+                            (a.nmsg, b.nmsg)))
+
+
 def _distinct_workloads(elements: list[ScenarioSpec],
                         members: list[int]) -> list[list[int]]:
-    """``members`` grouped by workload, in order of first appearance:
-    array-form elements by the shape, dtype and bytes of
-    ``dst``/``size``/``nmsg``, sequence-form elements by the identity of
-    their ``sequences``.  The keys (a copy of every array workload's
-    bytes) are dropped on return."""
-    users: dict[Any, list[int]] = {}
+    """``members`` grouped by workload, in order of first appearance.
+    Elements are keyed by the identity of their ``sequences`` or by
+    :func:`_workload_digest`; a key only proposes a group, and
+    :func:`_same_workload` against the group's first element confirms
+    it, so a hash collision cannot merge two workloads."""
+    groups: list[list[int]] = []
+    by_key: dict[int, list[list[int]]] = {}
     for i in members:
         el = elements[i]
-        key = id(el.sequences) if el.sequences is not None else tuple(
-            (a.shape, a.dtype.str, a.tobytes())
-            for a in (el.dst, el.size, el.nmsg))
-        users.setdefault(key, []).append(i)
-    return list(users.values())
+        candidates = by_key.setdefault(
+            id(el.sequences) if el.sequences is not None
+            else _workload_digest(el), [])
+        for users in candidates:
+            if _same_workload(elements[users[0]], el):
+                users.append(i)
+                break
+        else:
+            candidates.append([i])
+            groups.append(candidates[-1])
+    return groups
 
 
 def _run_group(spec: BatchSpec, limit: int | None, members: list[int],
                caps_full: np.ndarray, out: list[BatchElement],
-               stats: BatchStats) -> None:
+               stats: BatchStats) -> list[list[int]]:
+    """Price ``members`` (one credit regime); returns their workload
+    groups, each listing the elements that share a workload."""
     # One wave-kernel row set per distinct workload: the kernel is
     # row-independent, so every element sharing a workload reads the
     # same timestamps its solo run would produce.
@@ -688,6 +743,7 @@ def _run_group(spec: BatchSpec, limit: int | None, members: list[int],
     for c0 in range(0, len(workloads), _CHUNK_ELEMS):
         _run_chunk(spec, limit, workloads[c0:c0 + _CHUNK_ELEMS],
                    caps_full, out, stats)
+    return workloads
 
 
 def _run_chunk(spec: BatchSpec, limit: int | None,

@@ -10,14 +10,21 @@ occupancy.  Over small fabrics (healthy tables and stale tables over a
 missing cable), batches here repeat each workload three ways -- the same
 array objects, equal-content copies and one shared ``sequences`` list --
 and pair every repeat with its own fault schedule, sweep delay and credit
-limit.  Every element must equal its solo ``PacketSimulator(
+limit.  A second family repeats each workload with everything an
+event-core run reads -- schedule, healing settings (or one shared
+explicit controller), credit limit -- or differs in exactly one of sweep
+delay, repair strategy and credit limit, over stale tables and small
+event budgets, so that repeats demote or raise together and share one
+event-core run.  Every element must equal its solo ``PacketSimulator(
 engine="vector")`` run -- records, latencies, makespan, engine
 statistics and fault report, floats compared by their bits -- or raise
-the same error text, and :class:`BatchStats` must equal the per-element
-counts.
+the same error text, :class:`BatchStats` must equal the per-element
+counts, and no two elements may share a ``messages`` list or a
+``latencies`` array.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -131,21 +138,27 @@ def schedules(draw, fab):
                          seed=draw(st.integers(0, 2**16)))
 
 
-def _element(draw, workload, arrays, repeat, pool):
-    """One batch element over ``workload`` in ``repeat`` form, with its
-    own fault schedule (from the batch's ``pool``), sweep delay and
-    credit limit."""
-    faults = draw(st.sampled_from(pool))
-    sweep = None if faults is None else draw(st.sampled_from(SWEEP_DELAYS))
-    kw = dict(faults=faults, sweep_delay=sweep,
-              repair_strategy=draw(st.sampled_from(("naive", "balanced"))),
-              credit_limit=draw(st.sampled_from(LIMITS)), label=repeat)
+def _repeat(workload, arrays, repeat, **kw):
+    """A batch element over ``workload`` in ``repeat`` form: the shared
+    ``sequences`` list, the same ``arrays`` or copies of them."""
     if repeat == "shared":
         return ScenarioSpec(sequences=workload, **kw)
     dst, size, nmsg = arrays
     if repeat == "copy":
         dst, size, nmsg = dst.copy(), size.copy(), nmsg.copy()
     return ScenarioSpec(dst=dst, size=size, nmsg=nmsg, **kw)
+
+
+def _element(draw, workload, arrays, repeat, pool):
+    """One batch element over ``workload`` in ``repeat`` form, with its
+    own fault schedule (from the batch's ``pool``), sweep delay and
+    credit limit."""
+    faults = draw(st.sampled_from(pool))
+    sweep = None if faults is None else draw(st.sampled_from(SWEEP_DELAYS))
+    return _repeat(
+        workload, arrays, repeat, faults=faults, sweep_delay=sweep,
+        repair_strategy=draw(st.sampled_from(("naive", "balanced"))),
+        credit_limit=draw(st.sampled_from(LIMITS)), label=repeat)
 
 
 @st.composite
@@ -199,7 +212,7 @@ def _solo(spec: BatchSpec, i: int):
     el = spec.elements[i]
     cl = spec.credit_limit if el.credit_limit is INHERIT \
         else el.credit_limit
-    healing = None if el.sweep_delay is None else HealingController(
+    healing = el.healing if el.sweep_delay is None else HealingController(
         spec.tables, el.faults, sweep_delay=el.sweep_delay,
         strategy=el.repair_strategy)
     sim = PacketSimulator(spec.tables, spec.calibration, credit_limit=cl,
@@ -227,7 +240,66 @@ def _assert_batch_equals_solo_runs(spec: BatchSpec):
     assert s.events_saved == sum(
         e.packet_result().engine_stats.events_saved
         for e in res.elements if e.status == "fast")
+    # no aliasing: appending to one element's messages leaves every
+    # other element's unchanged, and no two share latency storage
+    done = [e.packet_result() for e in res.elements if e.status != "error"]
+    for r in done:
+        r.messages.append(None)
+    assert all(r.messages.count(None) == 1 for r in done)
+    assert not any(np.shares_memory(a.latencies, b.latencies)
+                   for a, b in itertools.combinations(done, 2))
     return res
+
+
+#: what a repeat may change from its workload's base settings
+VARIES = ("nothing", "nothing", "sweep_delay", "repair_strategy",
+          "credit_limit")
+
+
+@st.composite
+def demoting_repeats(draw):
+    """Repeats of each workload that share their schedule, healing
+    settings (or one explicit controller) and credit limit, or differ in
+    exactly one of sweep delay, repair strategy and credit limit; stale
+    tables, schedules that hit the run and small budgets make many of
+    them demote or raise."""
+    tables = draw(st.sampled_from(TABLES))
+    fab = tables.fabric
+    n = fab.num_endports
+    pool = [None] + draw(st.lists(schedules(fab), min_size=1, max_size=2))
+    elements = []
+    for _ in range(draw(st.integers(1, 2))):
+        workload = draw(workloads(n))
+        arrays = _arrays(workload)
+        faults = draw(st.sampled_from(pool))
+        base = dict(faults=faults, sweep_delay=None, healing=None,
+                    repair_strategy=draw(st.sampled_from(
+                        ("naive", "balanced"))),
+                    credit_limit=draw(st.sampled_from(LIMITS)))
+        if faults is not None:
+            base["sweep_delay"] = draw(st.sampled_from(SWEEP_DELAYS))
+            if base["sweep_delay"] is not None and draw(st.booleans()):
+                base["healing"] = HealingController(
+                    tables, faults, sweep_delay=base.pop("sweep_delay"),
+                    strategy=base["repair_strategy"])
+        for _ in range(draw(st.integers(2, 4))):
+            kw = dict(base)
+            vary = draw(st.sampled_from(VARIES))
+            if vary == "sweep_delay" and faults is not None:
+                kw["healing"] = None
+                kw["sweep_delay"] = draw(st.sampled_from(SWEEP_DELAYS))
+            elif vary == "repair_strategy":
+                kw["repair_strategy"] = draw(st.sampled_from(
+                    ("naive", "balanced")))
+            elif vary == "credit_limit":
+                kw["credit_limit"] = draw(st.sampled_from(LIMITS))
+            elements.append(_repeat(workload, arrays,
+                                    draw(st.sampled_from(REPEATS)), **kw))
+    order = draw(st.permutations(range(len(elements))))
+    return BatchSpec(tables=tables, elements=[elements[i] for i in order],
+                     credit_limit=draw(st.sampled_from((None, 1, 2, 4))),
+                     max_events=draw(st.sampled_from(
+                         (5_000_000,) * 2 + (40, 400))))
 
 
 class TestSharedWorkloads:
@@ -235,6 +307,34 @@ class TestSharedWorkloads:
     @settings(max_examples=120, deadline=None)
     def test_every_element_equals_its_solo_run(self, spec):
         _assert_batch_equals_solo_runs(spec)
+
+    @given(demoting_repeats())
+    @settings(max_examples=80, deadline=None)
+    def test_demoted_repeats_equal_their_solo_runs(self, spec):
+        _assert_batch_equals_solo_runs(spec)
+
+    def test_repeats_differing_in_one_setting_stay_apart(self):
+        """Pairs of repeats under one schedule that hits the run, each
+        pair differing from the first in only its sweep delay, repair
+        strategy or credit limit: the four solo runs differ from each
+        other, so a merged event-core run would show."""
+        tables = TABLES[0]
+        n = tables.fabric.num_endports
+        dst, size, nmsg = _arrays(cps_workload(shift(n), topology_order(n),
+                                               n, 4096.0))
+        faults = FaultSchedule((FaultEvent(0.0, LINK_DOWN, gport=28),))
+        variants = (dict(sweep_delay=0.5),
+                    dict(sweep_delay=3.0),
+                    dict(sweep_delay=0.5, repair_strategy="balanced"),
+                    dict(sweep_delay=0.5, credit_limit=1))
+        spec = BatchSpec(tables=tables, credit_limit=2, elements=[
+            ScenarioSpec(dst=dst.copy(), size=size.copy(), nmsg=nmsg.copy(),
+                         faults=faults, **kw)
+            for kw in variants for _ in range(2)])
+        solo = {_outcome(lambda: _solo(spec, i)) for i in range(0, 8, 2)}
+        assert len(solo) == 4
+        res = _assert_batch_equals_solo_runs(spec)
+        assert res.stats.fallback_fault == 8
 
     def test_every_demotion_reason_among_repeats(self):
         """One batch on stale tables where repeats of the same workloads

@@ -11,6 +11,7 @@ workloads) and checks full result equality: makespan, latency array,
 per-message records, and engine stats.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -381,3 +382,91 @@ def test_kernel_prices_each_distinct_workload_once(tables16, monkeypatch):
         assert_result_identical(res.elements[i].packet_result(),
                                 unbatched(tables16, spec.elements[i],
                                           credit_limit=4))
+
+
+def test_event_core_runs_each_distinct_demoted_scenario_once(tables16,
+                                                             monkeypatch):
+    """A grid of rotated topology orders (one port-level workload under
+    shift) and a random order (its own workload, which conflicts) x
+    schedules x sweep delays runs the event core once per distinct
+    demoted (workload, schedule, healing settings) key, and every
+    demoted element still equals its solo run."""
+    n = tables16.fabric.num_endports
+    used = int(tables16.fabric.port_start[0])
+    scheds = [None] + [FaultSchedule(events=(
+        FaultEvent(time=t, kind="link_down", gport=used),))
+        for t in (0.0, 1e9, 0.5)]
+    orders = [np.roll(topology_order(n), k) for k in range(4)] \
+        + [random_order(n, seed=3)]
+    cells = list(itertools.product(range(len(orders)), range(len(scheds)),
+                                   (None, 25.0)))
+    spec = ordering_batch(tables16, shift(n),
+                          np.stack([orders[o] for o, _, _ in cells]), SIZE,
+                          credit_limit=4,
+                          faults=[scheds[s] for _, s, _ in cells])
+    spec.elements = [
+        dataclasses.replace(el, sweep_delay=None if el.faults is None
+                            else delay)
+        for el, (_, _, delay) in zip(spec.elements, cells)]
+    calls = []
+    core = PacketSimulator._run_event_core
+
+    def spy(self, sequences):
+        calls.append(id(self.faults))
+        return core(self, sequences)
+
+    monkeypatch.setattr(PacketSimulator, "_run_event_core", spy)
+    res = run_batch(spec)
+    monkeypatch.undo()
+    demoted = [i for i, e in enumerate(res.elements)
+               if e.status != "fast"]
+    keys = {(spec.elements[i].dst.tobytes(), id(spec.elements[i].faults),
+             spec.elements[i].sweep_delay) for i in demoted}
+    # 8 conflicting random-order elements (7 keys: without a schedule
+    # both delays are None) and 16 rotated ones under the two schedules
+    # that hit the run (4 keys)
+    assert (len(demoted), len(keys)) == (24, 11)
+    assert len(calls) == len(keys)
+    for i in demoted:
+        got = res.elements[i].packet_result()
+        ref = unbatched(tables16, spec.elements[i], credit_limit=4)
+        assert_result_identical(got, ref)
+        assert got.fault_report == ref.fault_report
+
+
+def test_workload_key_collisions_do_not_merge_workloads(tables16,
+                                                        monkeypatch):
+    """With every workload hashed to one key, elements still group by
+    their bytes (signed zeros apart) or their shared ``sequences``, and
+    every element equals its solo run."""
+    import repro.sim.batch as batch
+
+    n = tables16.fabric.num_endports
+    arrays = cps_workload_arrays(
+        shift(n), np.stack([topology_order(n), random_order(n, seed=3)]),
+        n, SIZE)
+    ordered, shuffled = ([a[t] for a in arrays] for t in (0, 1))
+    dst, size, nmsg = ordered
+    signed = size.copy()
+    signed[0, 0] = 0.0
+    negative = signed.copy()
+    negative[0, 0] = -0.0
+    seqs = cps_workload(shift(n), topology_order(n), n, SIZE)
+    elements = [
+        ScenarioSpec(dst=dst, size=size, nmsg=nmsg),               # 0
+        ScenarioSpec(dst=shuffled[0], size=shuffled[1],
+                     nmsg=shuffled[2]),                            # 1
+        ScenarioSpec(dst=dst.copy(), size=size.copy(),
+                     nmsg=nmsg.copy()),                            # 0
+        ScenarioSpec(sequences=seqs),                              # 2
+        ScenarioSpec(dst=dst, size=signed, nmsg=nmsg),             # 3
+        ScenarioSpec(dst=dst, size=negative, nmsg=nmsg),           # 4
+        ScenarioSpec(sequences=seqs),                              # 2
+        ScenarioSpec(dst=dst, size=signed.copy(), nmsg=nmsg),      # 3
+        ScenarioSpec(sequences=list(seqs)),                        # 5
+    ]
+    monkeypatch.setattr(batch, "_workload_digest", lambda el: 0)
+    assert batch._distinct_workloads(elements, list(range(9))) == \
+        [[0, 2], [1], [3, 6], [4, 7], [5], [8]]
+    assert_batch_matches(BatchSpec(tables=tables16, elements=elements,
+                                   credit_limit=4))
