@@ -14,22 +14,24 @@ link).  The paper's Figure 3 and Table 3 metrics are built from this:
 no link ever carries two concurrent flows, so every message runs at
 full wire speed and cut-through latency.
 
-Everything is vectorised: a whole stage of flows is walked through the
-forwarding tables simultaneously by the one route walk,
-:meth:`~repro.fabric.lft.ForwardingTables.walk`;
-:func:`walk_flow_links` is its hop-major view, and the per-stage,
-per-placement and per-class link loads are counts over it.
+Everything is vectorised around one link-load kernel: a block of flows
+is walked through the forwarding tables by the one route walk,
+:meth:`~repro.fabric.lft.ForwardingTables.walk`, and counted per
+``(key, link)`` cell with one ``bincount``.  Keys are stages, (stage,
+placement) pairs or traffic classes; a block holds whole stages, so a
+full CPS takes a few walks rather than one per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..collectives.cps import CPS
-from ..collectives.schedule import stage_flows, stage_flows_batch
-from ..fabric.lft import EntryRoutes, ForwardingTables
+from ..collectives.schedule import _pair_flows
+from ..fabric.lft import EntryRoutes, ForwardingTables, Routes, _raise_earliest
 
 __all__ = [
     "walk_flow_links",
@@ -44,6 +46,12 @@ __all__ = [
 ]
 
 
+#: Flows the link-load kernel walks at once, and load cells (stage x key
+#: x port) it counts into.  A block breaks only between stages, so one
+#: stage -- or a one-key call -- is always one walk.
+_BLOCK_FLOWS, _BLOCK_CELLS = 1 << 13, 1 << 18
+
+
 def walk_flow_links(
     tables: ForwardingTables, src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -56,23 +64,36 @@ def walk_flow_links(
     nothing.  A route fault raises ``ValueError`` naming the earliest
     one (:meth:`Routes.raise_fault`).
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.shape != dst.shape:
-        raise ValueError("src/dst shape mismatch")
     routes = tables.flow_routes(src, dst)
     routes.raise_fault()
     return routes.flat()
+
+
+def _count_links(tables: ForwardingTables, src, dst, key=None, num_keys=1,
+                 weights=None) -> tuple[np.ndarray, Routes, np.ndarray,
+                                        np.ndarray]:
+    """The link-load kernel: walk flows ``src[i] -> dst[i]`` once and
+    count them per ``(key[i], directed link)`` with one ``bincount``
+    (summing ``weights`` in walk order, when given; ``key=None`` is one
+    key).  Returns the ``(num_keys, num_ports)`` loads, the routes and
+    their hop-major crossed links; a faulted route counts the links it
+    crossed, and the caller raises or reports the fault."""
+    routes = tables.flow_routes(src, dst)
+    rows, gports = routes.flat()
+    P = tables.fabric.num_ports
+    cells = gports if key is None else key[rows] * P + gports
+    loads = np.bincount(cells, None if weights is None else weights[rows],
+                        minlength=num_keys * P).reshape(num_keys, P)
+    return loads, routes, rows, gports
 
 
 def stage_link_loads(
     tables: ForwardingTables, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
     """Flows per directed link (array over global port ids) for one stage."""
-    _, gports = walk_flow_links(tables, src, dst)
-    loads = np.zeros(tables.fabric.num_ports, dtype=np.int64)
-    np.add.at(loads, gports, 1)
-    return loads
+    loads, routes, _, _ = _count_links(tables, src, dst)
+    routes.raise_fault()
+    return loads[0]
 
 
 def stage_class_link_loads(
@@ -86,11 +107,9 @@ def stage_class_link_loads(
 
     ``flow_class[i]`` is the class index of flow ``i``; the result has
     shape ``(num_classes, num_ports)`` and sums over classes to
-    :func:`stage_link_loads`.  One table walk serves every class: loads
-    are recovered with a single ``bincount`` over
-    ``(class, port)`` keys, the same trick
-    :func:`batched_sequence_hsd` uses for placements.  This is the
-    dynamic (table-walking) side of the isolation analyzer's per-class
+    :func:`stage_link_loads`.  One table walk serves every class: the
+    class is the link-load kernel's key.  This is the dynamic
+    (table-walking) side of the isolation analyzer's per-class
     accounting; the symbolic side never touches tables at all.
     """
     flow_class = np.asarray(flow_class, dtype=np.int64)
@@ -101,10 +120,9 @@ def stage_class_link_loads(
         else int(flow_class.max()) + 1 if len(flow_class) else 1
     if len(flow_class) and (flow_class.min() < 0 or flow_class.max() >= C):
         raise ValueError("flow_class references a class index out of range")
-    num_ports = tables.fabric.num_ports
-    flow_idx, gports = walk_flow_links(tables, src, dst)
-    keys = flow_class[flow_idx] * num_ports + gports
-    return np.bincount(keys, minlength=C * num_ports).reshape(C, num_ports)
+    loads, routes, _, _ = _count_links(tables, src, dst, flow_class, C)
+    routes.raise_fault()
+    return loads
 
 
 def stage_max_hsd(
@@ -123,6 +141,73 @@ def stage_max_hsd(
     if switch_links_only:
         loads = loads[_switch_link_mask(tables)]
     return int(loads.max()) if len(loads) else 0
+
+
+class _Block(NamedTuple):
+    """Stages ``lo, lo + 1, ...`` of a CPS under every placement row,
+    walked at once.  ``fault`` is the first stage with a faulty route
+    and the error text a walk of that stage alone raises.  ``walk``,
+    kept on request, is ``(src, dst, stage, rows, gports)``: the flows
+    -- row-major, then stage-major, so one stage's flows keep their
+    order in a walk of that stage alone -- each flow's stage counted
+    from ``lo``, and the hop-major crossed links."""
+
+    lo: int
+    flows: np.ndarray   # (stages, num_orders) flow counts
+    loads: np.ndarray   # (stages, num_orders, num_ports)
+    fault: tuple[int, str] | None
+    walk: tuple[np.ndarray, ...] | None
+
+    def raise_fault(self) -> None:
+        if self.fault is not None:
+            raise ValueError(self.fault[1])
+
+
+def _walk_block(tables: ForwardingTables, placements: np.ndarray,
+                pairs: np.ndarray, pair_stage: np.ndarray, lo: int,
+                num_stages: int, keep_walk: bool) -> _Block:
+    """The :class:`_Block` of rank ``pairs`` whose stages, counted from
+    ``lo``, are ``pair_stage``."""
+    num_orders = len(placements)
+    src, dst, ok = _pair_flows(pairs, placements)
+    key = (pair_stage * num_orders + np.arange(num_orders)[:, None])[ok]
+    num_keys = num_stages * num_orders
+    loads, routes, rows, gports = _count_links(tables, src, dst, key, num_keys)
+    stage = key // max(1, num_orders)
+    fault = None
+    if len(bad := np.flatnonzero(routes.fault)):
+        s = int(stage[bad].min())
+        rows_s = np.flatnonzero(stage == s)  # named by position in stage s
+        try:
+            _raise_earliest(routes.fault[rows_s], routes.length[rows_s])
+        except ValueError as exc:
+            fault = lo + s, str(exc)
+    return _Block(
+        lo, np.bincount(key, minlength=num_keys).reshape(num_stages, -1),
+        loads.reshape(num_stages, num_orders, tables.fabric.num_ports),
+        fault, (src, dst, stage, rows, gports) if keep_walk else None)
+
+
+def _case_blocks(tables: ForwardingTables, cps: CPS, placements: np.ndarray,
+                 keep_walk: bool = False):
+    """The :class:`_Block` runs of stages covering ``cps``, each at most
+    :data:`_BLOCK_FLOWS` flows and :data:`_BLOCK_CELLS` load cells
+    unless one stage alone is larger."""
+    num_orders = len(placements)
+    sizes = np.array([len(st) for st in cps.stages], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    pairs = cps.all_pairs()
+    pair_stage = np.repeat(np.arange(len(sizes)), sizes)
+    span = max(1, _BLOCK_CELLS // max(1, num_orders * tables.fabric.num_ports))
+    lo = 0
+    while lo < len(sizes):
+        cap = offsets[lo] + _BLOCK_FLOWS // max(1, num_orders)
+        hi = int(np.searchsorted(offsets, cap, side="right")) - 1
+        hi = max(lo + 1, min(hi, lo + span, len(sizes)))
+        a, b = offsets[lo], offsets[hi]
+        yield _walk_block(tables, placements, pairs[a:b],
+                          pair_stage[a:b] - lo, lo, hi - lo, keep_walk)
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -152,14 +237,11 @@ def sequence_hsd(
     rank_to_port: np.ndarray,
     switch_links_only: bool = False,
 ) -> HSDReport:
-    """Per-stage max HSD for a CPS under a placement (the Table 3 row)."""
-    maxima = []
-    for st in cps:
-        src, dst = stage_flows(st, rank_to_port)
-        if len(src) == 0:
-            continue
-        maxima.append(stage_max_hsd(tables, src, dst, switch_links_only))
-    return HSDReport(cps_name=cps.name, stage_max=np.asarray(maxima, dtype=np.int64))
+    """Per-stage max HSD for a CPS under a placement (the Table 3 row):
+    :func:`batched_sequence_hsd` of one placement."""
+    rank_to_port = np.asarray(rank_to_port, dtype=np.int64)
+    return batched_sequence_hsd(
+        tables, cps, rank_to_port[None, :], switch_links_only).report(0)
 
 
 def _switch_link_mask(tables: ForwardingTables) -> np.ndarray:
@@ -191,12 +273,10 @@ class BatchedHSDReport:
     def avg_max(self) -> np.ndarray:
         """Figure-3 metric per placement, identical to running
         :class:`HSDReport` ``.avg_max`` order by order."""
-        vals = np.empty(self.num_orders, dtype=np.float64)
-        for t in range(self.num_orders):
-            row = self.stage_max[t]
-            row = row[row >= 0]
-            vals[t] = float(row.mean()) if len(row) else 0.0
-        return vals
+        ran = self.stage_max >= 0
+        count = ran.sum(axis=1)
+        total = np.where(ran, self.stage_max, 0).sum(axis=1)
+        return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
     def report(self, t: int) -> HSDReport:
         """The serial-equivalent :class:`HSDReport` of placement ``t``."""
@@ -210,40 +290,25 @@ def batched_sequence_hsd(
     placements: np.ndarray,
     switch_links_only: bool = False,
 ) -> BatchedHSDReport:
-    """Vectorised :func:`sequence_hsd` over a placement matrix.
-
-    ``placements`` is ``(num_orders, L)``: each row a ``rank_to_port``
-    vector.  All rows of a stage are walked through the forwarding
-    tables in one pass and the per-row link loads recovered with a
-    single ``bincount`` over ``(order, port)`` keys, so the cost per
-    placement is a small fraction of the one-at-a-time path while the
-    resulting per-row reports match :func:`sequence_hsd` exactly.
-    """
+    """Per-stage max HSD of a CPS under each row of a ``(num_orders,
+    L)`` placement matrix: runs of stages are walked for all rows at once
+    and counted per ``(stage, placement)`` key (:func:`_case_blocks`).
+    A route fault raises the error of the first faulty stage's walk."""
     placements = np.asarray(placements, dtype=np.int64)
     if placements.ndim == 1:
         placements = placements[None, :]
-    num_orders = placements.shape[0]
-    num_ports = tables.fabric.num_ports
+    if placements.ndim != 2:
+        raise ValueError("placements must be (num_orders, L)")
     keep_ports = _switch_link_mask(tables) if switch_links_only else None
 
-    stage_max = np.full((num_orders, len(cps.stages)), -1, dtype=np.int64)
-    for s_i, st in enumerate(cps):
-        src, dst, order = stage_flows_batch(st, placements)
-        if len(src) == 0:
-            continue
-        present = np.bincount(order, minlength=num_orders) > 0
-        flow_idx, gports = walk_flow_links(tables, src, dst)
-        keys = order[flow_idx] * num_ports + gports
-        loads = np.bincount(
-            keys, minlength=num_orders * num_ports
-        ).reshape(num_orders, num_ports)
-        if keep_ports is not None:
-            loads = loads[:, keep_ports]
-        if loads.shape[1]:
-            maxima = loads.max(axis=1)
-        else:
-            maxima = np.zeros(num_orders, dtype=np.int64)
-        stage_max[present, s_i] = maxima[present]
+    stage_max = np.full((placements.shape[0], len(cps.stages)), -1,
+                        dtype=np.int64)
+    for blk in _case_blocks(tables, cps, placements):
+        blk.raise_fault()
+        loads = blk.loads if keep_ports is None else blk.loads[..., keep_ports]
+        maxima = loads.max(axis=2) if loads.shape[2] else 0
+        stage_max[:, blk.lo:blk.lo + len(blk.flows)] = \
+            np.where(blk.flows > 0, maxima, -1).T
     return BatchedHSDReport(cps_name=cps.name, stage_max=stage_max)
 
 

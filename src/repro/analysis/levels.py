@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..collectives.cps import CPS
-from ..collectives.schedule import stage_flows
 from ..fabric.lft import ForwardingTables
-from .hsd import stage_link_loads
+from .hsd import _case_blocks, stage_link_loads
 
 __all__ = ["link_classes", "LevelProfile", "stage_level_profile",
            "sequence_level_profile"]
@@ -73,18 +72,17 @@ def stage_level_profile(
 def sequence_level_profile(
     tables: ForwardingTables, cps: CPS, rank_to_port: np.ndarray
 ) -> LevelProfile:
-    """Per-stage, per-class max loads for a whole sequence."""
-    classes = link_classes(tables)
-    names = tuple(classes)
-    rows = []
-    for st in cps:
-        s, d = stage_flows(st, rank_to_port)
-        if len(s) == 0:
-            continue
-        loads = stage_link_loads(tables, s, d)
-        rows.append([int(loads[classes[c]].max()) if classes[c].any() else 0
-                     for c in names])
-    return LevelProfile(
-        classes=names,
-        stage_max=np.asarray(rows, dtype=np.int64).reshape(-1, len(names)),
-    )
+    """Per-stage, per-class max loads for a whole sequence (stages
+    without flows are skipped).  A route fault raises the
+    ``ValueError`` of the first faulty stage's walk."""
+    classes = link_classes(tables)  # every class has a link
+    rows = [np.empty((0, len(classes)), dtype=np.int64)]
+    placement = np.asarray(rank_to_port, dtype=np.int64)[None, :]
+    for blk in _case_blocks(tables, cps, placement):
+        blk.raise_fault()
+        loads = blk.loads[blk.flows[:, 0] > 0, 0]
+        rows.append(np.array([loads[:, m].max(axis=1)
+                              for m in classes.values()], dtype=np.int64
+                             ).reshape(len(classes), len(loads)).T)
+    return LevelProfile(classes=tuple(classes),
+                        stage_max=np.concatenate(rows))

@@ -25,10 +25,10 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis.hsd import walk_flow_links
-from ..collectives.schedule import stage_flows
+from ..analysis.hsd import _case_blocks
+from ..fabric.model import Fabric
 from ..runtime.cache import tables_digest
-from .common import MAX_COUNTEREXAMPLE_PAIRS, colliding_pairs_payload, link_loc
+from .common import colliding_pairs_payload, link_loc
 from .diagnostics import Diagnostic, DiagnosticReport
 from .passes import CheckContext, CheckPass, ScheduleCase
 
@@ -37,11 +37,6 @@ __all__ = ["ContentionCertifierPass", "placement_digest", "CERTIFICATE_VERSION"]
 #: version 2: adds ``certificate_kind`` plus explicit counterexample
 #: truncation fields (``total_pairs``/``pairs_truncated``).
 CERTIFICATE_VERSION = 2
-
-#: cap on colliding pairs listed per counterexample (kept as an alias;
-#: the shared constant lives in :mod:`repro.check.common`)
-_MAX_PAIRS = MAX_COUNTEREXAMPLE_PAIRS
-
 
 def placement_digest(placement: np.ndarray) -> str:
     """SHA-256 of a rank->port vector (certificate binding)."""
@@ -72,54 +67,40 @@ class ContentionCertifierPass(CheckPass):
                       stage_loads: dict[str, list[int]]) -> None:
         tables = ctx.tables
         fab = ctx.fabric
+        placement = np.asarray(case.placement, dtype=np.int64)[None, :]
         maxima: list[int] = []
-        overall_max = 0
-        refuted = False
         total_flows = 0
 
-        for i, st in enumerate(case.cps):
-            src, dst = stage_flows(st, case.placement)
-            if len(src) == 0:
-                maxima.append(0)
-                continue
-            total_flows += len(src)
-            try:
-                flow_idx, gports = walk_flow_links(tables, src, dst)
-            except ValueError as exc:
+        for blk in _case_blocks(tables, case.cps, placement, keep_walk=True):
+            fault = blk.fault
+            n = len(blk.flows) if fault is None else fault[0] - blk.lo
+            loads = blk.loads[:n, 0]
+            block_max = loads.max(axis=1)
+            maxima += block_max.tolist()
+            total_flows += int(blk.flows[:n].sum())
+            # a counterexample per refuted stage: its most loaded link
+            # (the lowest port on a tie), flows on it in hop-major order
+            src, dst, stage, rows, gports = blk.walk
+            refuted = np.flatnonzero(block_max > 1)
+            hot = loads[refuted].argmax(axis=1)
+            target = np.full(len(blk.flows), -1, dtype=np.int64)
+            target[refuted] = hot
+            hit = rows[gports == target[stage[rows]]]
+            for s, gp in zip(refuted.tolist(), hot.tolist()):
+                report.add(self._counterexample(
+                    case, fab, blk.lo + s, int(block_max[s]), gp,
+                    colliding_pairs_payload(src, dst, hit[stage[hit] == s])))
+            if fault is not None:
                 report.add(Diagnostic(
                     code="RTE001",
-                    message=(f"{case.name()}: stage {i} cannot be walked "
-                             f"through the tables ({exc}); certification "
-                             "aborted for this case"),
+                    message=(f"{case.name()}: stage {fault[0]} cannot be "
+                             f"walked through the tables ({fault[1]}); "
+                             "certification aborted for this case"),
                 ))
                 return
-            loads = np.zeros(fab.num_ports, dtype=np.int64)
-            np.add.at(loads, gports, 1)
-            stage_max = int(loads.max()) if len(loads) else 0
-            maxima.append(stage_max)
-            overall_max = max(overall_max, stage_max)
-            if stage_max <= 1:
-                continue
-            refuted = True
-            gp = int(loads.argmax())
-            on_link = flow_idx[gports == gp]
-            payload = colliding_pairs_payload(src, dst, on_link)
-            pairs = payload["colliding_pairs"]
-            report.add(Diagnostic(
-                code="CFC001",
-                message=(f"{case.name()}: stage {i} "
-                         f"({st.label or 'unlabelled'}) places {stage_max} "
-                         f"concurrent flows on one directed link; colliding "
-                         f"(src, dst) end-ports: {pairs}"
-                         + (f" (+{payload['total_pairs'] - len(pairs)} more)"
-                            if payload["pairs_truncated"] else "")),
-                loc=link_loc(fab, gp, stage=i),
-                data={"case": case.name(), "stage": i,
-                      "link_load": stage_max, "gport": gp, **payload},
-            ))
 
         stage_loads[case.name()] = maxima
-        if refuted:
+        if max(maxima, default=0) > 1:
             return
         if total_flows == 0:
             report.add(Diagnostic(
@@ -141,6 +122,24 @@ class ContentionCertifierPass(CheckPass):
             "num_stages": len(case.cps.stages),
             "num_flows": int(total_flows),
             "placement_digest": placement_digest(case.placement),
-            "max_link_load": int(overall_max),
+            "max_link_load": max(maxima, default=0),
             "verdict": "contention-free",
         })
+
+    @staticmethod
+    def _counterexample(case: ScheduleCase, fab: Fabric, i: int,
+                        stage_max: int, gp: int,
+                        payload: dict[str, Any]) -> Diagnostic:
+        pairs = payload["colliding_pairs"]
+        return Diagnostic(
+            code="CFC001",
+            message=(f"{case.name()}: stage {i} "
+                     f"({case.cps.stages[i].label or 'unlabelled'}) places "
+                     f"{stage_max} concurrent flows on one directed link; "
+                     f"colliding (src, dst) end-ports: {pairs}"
+                     + (f" (+{payload['total_pairs'] - len(pairs)} more)"
+                        if payload["pairs_truncated"] else "")),
+            loc=link_loc(fab, gp, stage=i),
+            data={"case": case.name(), "stage": i,
+                  "link_load": stage_max, "gport": gp, **payload},
+        )

@@ -22,8 +22,7 @@ import numpy as np
 
 from .cps import CPS, Stage
 
-__all__ = ["stage_flows", "case_flows", "stage_flows_batch",
-           "port_sequences", "validate_placement"]
+__all__ = ["stage_flows", "case_flows", "port_sequences", "validate_placement"]
 
 
 def validate_placement(rank_to_port: np.ndarray, num_endports: int,
@@ -43,13 +42,15 @@ def validate_placement(rank_to_port: np.ndarray, num_endports: int,
 
 def _pair_flows(pairs: np.ndarray, rank_to_port: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Physical flows of rank ``pairs`` plus the mask of pairs kept."""
+    """Physical flows of rank ``pairs`` under a placement, or under every
+    row of a placement matrix (row-major), plus the mask of pairs kept."""
     r2p = np.asarray(rank_to_port, dtype=np.int64)
     # Ranks past the placement read a trailing -1 slot: like the slots
     # marked -1 (physical placements of partial jobs), they do not exist.
-    slots = np.append(r2p, -1)
-    src = slots[np.minimum(pairs[:, 0], len(r2p))]
-    dst = slots[np.minimum(pairs[:, 1], len(r2p))]
+    L = r2p.shape[-1]
+    slots = np.concatenate([r2p, np.full(r2p.shape[:-1] + (1,), -1)], axis=-1)
+    src = slots[..., np.minimum(pairs[:, 0], L)]
+    dst = slots[..., np.minimum(pairs[:, 1], L)]
     keep = (src != dst) & (src >= 0) & (dst >= 0)
     return src[keep], dst[keep], keep
 
@@ -74,34 +75,6 @@ def case_flows(cps: CPS, rank_to_port: np.ndarray,
     src, dst, keep = _pair_flows(cps.all_pairs(), rank_to_port)
     stage = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     return src, dst, stage[keep]
-
-
-def stage_flows_batch(
-    stage: Stage, placements: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`stage_flows` over a whole ``(num_orders, L)`` placement matrix.
-
-    Returns flattened ``(src_ports, dst_ports, order_idx)`` arrays: the
-    flows of every placement row concatenated, with ``order_idx[i]``
-    naming the row flow ``i`` came from.  Row ``t``'s flows equal
-    ``stage_flows(stage, placements[t])`` exactly (same drop rules, same
-    within-row order), which is what lets the batched HSD path reproduce
-    the serial results bit for bit.
-    """
-    placements = np.asarray(placements, dtype=np.int64)
-    if placements.ndim != 2:
-        raise ValueError("placements must be (num_orders, L)")
-    num_orders, L = placements.shape
-    pairs = stage.pairs
-    keep = (pairs[:, 0] < L) & (pairs[:, 1] < L)
-    p = pairs[keep]
-    src = placements[:, p[:, 0]]
-    dst = placements[:, p[:, 1]]
-    order = np.broadcast_to(
-        np.arange(num_orders, dtype=np.int64)[:, None], src.shape
-    )
-    ok = ~((src == dst) | (src < 0) | (dst < 0))
-    return src[ok], dst[ok], order[ok]
 
 
 def port_sequences(cps: CPS, rank_to_port: np.ndarray,

@@ -23,6 +23,7 @@ from ..collectives import (
     shift,
     tournament,
 )
+from ..collectives.cps import CPS, Stage
 from ..fabric import build_fabric
 from ..fabric.model import Fabric
 from ..routing import route_dmodk
@@ -34,6 +35,7 @@ __all__ = [
     "get_topology",
     "figure3_cps_factories",
     "sampled_shift",
+    "concurrent_cps",
     "make_parser",
     "add_runtime_args",
     "make_sweeper",
@@ -63,6 +65,18 @@ def sampled_shift(n: int, max_stages: int = 64):
         return shift(n)
     step = (n - 1) // max_stages
     return shift(n, displacements=range(1, n, step))
+
+
+def concurrent_cps(jobs) -> tuple[CPS, np.ndarray]:
+    """``(cps, rank_to_port)`` jobs, each CPS over ``len(rank_to_port)``
+    ranks, run at once as one job: stage ``k`` holds stage ``k`` of
+    every job, ranks renumbered job after job."""
+    first = np.cumsum([0] + [len(p) for _, p in jobs])
+    stages = [np.concatenate([c.stages[k].pairs + f for (c, _), f
+                              in zip(jobs, first) if k < len(c)])
+              for k in range(max(len(c) for c, _ in jobs))]
+    return (CPS("concurrent", int(first[-1]), tuple(map(Stage, stages))),
+            np.concatenate([p for _, p in jobs]))
 
 
 def figure3_cps_factories(max_shift_stages: int = 64) -> dict:

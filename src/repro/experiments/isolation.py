@@ -10,9 +10,9 @@ D-Mod-K) the experiment:
 1. certifies each class symbolically (``IsolationPass``) -- per-class
    worst link load, cross-class interference bound and combined worst
    link load, all without touching the simulators;
-2. re-derives the same quantities dynamically by walking the
-   materialised tables stage by stage (per-link flow accounting -- an
-   independent code path from the symbolic closed form);
+2. re-derives the per-class and combined worst loads from the
+   materialised tables (``sequence_hsd`` of each class and of all
+   classes run at once -- independent of the symbolic closed form);
 3. runs the fluid simulator (barrier mode, so per-stage static bounds
    apply) per class solo and all classes concurrent, plus an optional
    packet-simulator spot check on the leading stages.
@@ -24,34 +24,17 @@ combined worst link load the analyzer predicted.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..analysis import render_table
-from ..analysis.hsd import stage_class_link_loads
+from ..analysis import render_table, sequence_hsd
 from ..check import CheckContext, build_class_schedules, run_check
 from ..collectives.cps import CPS
-from ..collectives.schedule import stage_flows
 from ..fabric import NodeTypeMap, build_fabric
 from ..routing import route_dmodk, route_typeaware
 from ..sim import FluidSimulator, PacketSimulator, cps_workload, merge_sequences
-from .common import get_topology, make_parser
+from .common import concurrent_cps, get_topology, make_parser
 
 __all__ = ["run", "measure", "main"]
 
 ROUTINGS = ("typeaware", "dmodk")
-
-
-def _aligned_stage(schedules, k):
-    """Concatenated flows of stage ``k`` across every class."""
-    srcs, dsts, fcs = [], [], []
-    for ci, cs in enumerate(schedules):
-        if k < len(cs.cps.stages):
-            s, d = stage_flows(cs.cps.stages[k], cs.ports)
-            keep = s != d
-            srcs.append(s[keep])
-            dsts.append(d[keep])
-            fcs.append(np.full(keep.sum(), ci, dtype=np.int64))
-    return (np.concatenate(srcs), np.concatenate(dsts), np.concatenate(fcs))
 
 
 def measure(topo: str = "n324", storage_per_leaf: int = 2,
@@ -81,16 +64,10 @@ def measure(topo: str = "n324", storage_per_leaf: int = 2,
     # 2. dynamic per-link flow accounting over the materialised tables
     schedules = build_class_schedules(types, cps_name="shift",
                                       max_stages=max_stages)
-    dyn_worst = {cs.name: 0 for cs in schedules}
-    dyn_combined = 0
-    for k in range(max(len(cs.cps.stages) for cs in schedules)):
-        src, dst, fc = _aligned_stage(schedules, k)
-        loads = stage_class_link_loads(tables, src, dst, fc,
-                                       num_classes=len(schedules))
-        for ci, cs in enumerate(schedules):
-            dyn_worst[cs.name] = max(dyn_worst[cs.name],
-                                     int(loads[ci].max()))
-        dyn_combined = max(dyn_combined, int(loads.sum(axis=0).max()))
+    dyn_worst = {cs.name: sequence_hsd(tables, cs.cps, cs.ports).worst
+                 for cs in schedules}
+    dyn_combined = sequence_hsd(tables, *concurrent_cps(
+        [(cs.cps, cs.ports) for cs in schedules])).worst
 
     # 3. fluid dynamics: each class solo, then all classes concurrent.
     # Barrier mode keeps stage k of every class aligned (the classes

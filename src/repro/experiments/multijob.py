@@ -12,16 +12,13 @@ it were alone.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..analysis import render_table, sequence_hsd, stage_link_loads
+from ..analysis import render_table, sequence_hsd
 from ..collectives import shift
-from ..collectives.schedule import stage_flows
 from ..fabric import build_fabric
 from ..jobs import SubAllocator
 from ..routing import route_dmodk
 from ..sim import FluidSimulator, cps_workload, merge_sequences
-from .common import get_topology, make_parser
+from .common import concurrent_cps, get_topology, make_parser
 
 __all__ = ["run", "main"]
 
@@ -58,19 +55,9 @@ def run(topo: str = "rlft2-max36", job_units=(6, 12, 9),
     all_seqs = merge_sequences(*workloads)
 
     # All jobs together: combined per-stage HSD and combined bandwidth.
-    combined_worst = 0
-    stage_sets = [shift(j.num_ranks, displacements=range(1, 17)).stages
-                  for j in jobs]
-    for k in range(max(len(s) for s in stage_sets)):
-        srcs, dsts = [], []
-        for job, stages in zip(jobs, stage_sets):
-            if k < len(stages):
-                s, d = stage_flows(stages[k], job.placement)
-                srcs.append(s)
-                dsts.append(d)
-        loads = stage_link_loads(tables, np.concatenate(srcs),
-                                 np.concatenate(dsts))
-        combined_worst = max(combined_worst, int(loads.max()))
+    combined_worst = sequence_hsd(tables, *concurrent_cps(
+        [(shift(j.num_ranks, displacements=range(1, 17)), j.placement)
+         for j in jobs])).worst
     together = sim.run_sequences(all_seqs)
     rows.append(("all concurrent", sum(len(j.units) for j in jobs),
                  sum(j.num_ranks for j in jobs), combined_worst,

@@ -121,6 +121,8 @@ class ForwardingTables:
         ``src == dst`` flows get empty routes."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
+        if src.shape != dst.shape:
+            raise ValueError("src/dst shape mismatch")
         first = np.full(len(dst), -1, dtype=np.int64)
         idx = np.flatnonzero(src != dst)
         first[idx] = self.host_out_port(src[idx], dst[idx])

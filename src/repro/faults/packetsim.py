@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..sim.calibration import link_capacities
 from ..sim.events import SimulationError
 from ..sim.fluid import MessageRecord
 from ..sim.packet import PacketEngineStats, PacketResult
@@ -206,7 +207,7 @@ def run_faulty(
     peer_node = fab.peer_node.tolist()
     port_start = fab.port_start.tolist()
     host_port = port_start[:N]  # single-rail up ports
-    cap = sim._link_capacities().tolist()
+    cap = link_capacities(fab, sim.cal).tolist()
     down = [gp < 0 for gp in port_peer]
     unlimited = 1 << 62
     if sim.credit_limit is None:

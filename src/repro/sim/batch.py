@@ -101,7 +101,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..fabric.lft import ForwardingTables
-from .calibration import QDR_PCIE_GEN2, LinkCalibration
+from .calibration import QDR_PCIE_GEN2, LinkCalibration, link_capacities
 from .events import SimulationError
 from .fluid import MessageRecord
 from .packet import PacketEngineStats, PacketResult, PacketSimulator
@@ -617,8 +617,7 @@ def run_batch(spec: BatchSpec) -> BatchResult:
             g = len(group_keys) - 1
         group_members[g].append(i)
 
-    caps_full = PacketSimulator(
-        tables, spec.calibration, engine="reference")._link_capacities()
+    caps_full = link_capacities(tables.fabric, spec.calibration)
 
     # workload[i]: the first element of i's workload group, which names
     # its (credit regime, workload) pair for the whole call
@@ -1079,7 +1078,7 @@ def cps_workload_arrays(
     than once (none of the paper's collectives do) -- callers fall back
     to per-element ``cps_workload`` there.
     """
-    from ..collectives.schedule import stage_flows_batch
+    from ..collectives.schedule import _pair_flows
 
     placements = np.asarray(placements, dtype=np.int64)
     if placements.ndim == 1:
@@ -1096,7 +1095,8 @@ def cps_workload_arrays(
     count = np.zeros((B, N), dtype=np.int64)
     entries = []
     for s_i, st in enumerate(cps):
-        s_src, s_dst, order = stage_flows_batch(st, placements)
+        s_src, s_dst, keep = _pair_flows(st.pairs, placements)
+        order = np.repeat(np.arange(B), keep.sum(axis=1))
         if len(s_src) == 0:
             continue
         keys = order * N + s_src

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LinkCalibration", "QDR_PCIE_GEN2", "DDR_PCIE_GEN1", "EDR_PCIE_GEN3"]
+import numpy as np
+
+__all__ = ["LinkCalibration", "QDR_PCIE_GEN2", "DDR_PCIE_GEN1", "EDR_PCIE_GEN3",
+           "link_capacities"]
 
 
 @dataclass(frozen=True)
@@ -73,3 +76,14 @@ DDR_PCIE_GEN1 = LinkCalibration(
 EDR_PCIE_GEN3 = LinkCalibration(
     name="EDR/PCIe-Gen3x16", link_bandwidth=12000.0, host_bandwidth=12800.0
 )
+
+
+def link_capacities(fabric, calibration: LinkCalibration) -> np.ndarray:
+    """Serialisation bandwidth per global port, read by every simulator:
+    injection at host rate, ejection at the slower of host and wire."""
+    N = fabric.num_endports
+    cap = np.full(fabric.num_ports, calibration.link_bandwidth)
+    cap[fabric.port_owner < N] = calibration.host_bandwidth
+    into_host = (fabric.peer_node >= 0) & (fabric.peer_node < N)
+    cap[into_host] = np.minimum(cap[into_host], calibration.host_bandwidth)
+    return cap

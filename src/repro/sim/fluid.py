@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fabric.lft import ForwardingTables
-from .calibration import LinkCalibration, QDR_PCIE_GEN2
+from .calibration import LinkCalibration, QDR_PCIE_GEN2, link_capacities
 from .events import SimulationError
 
 __all__ = ["FluidSimulator", "FluidResult", "MessageRecord"]
@@ -188,20 +188,11 @@ class FluidSimulator:
         self.cal = calibration
         self.record_messages = record_messages
         self.max_events = max_events
-        self.capacity = self._link_capacities()
+        self.capacity = link_capacities(self.fabric, calibration)
         self.max_hops = 2 * int(self.fabric.node_level.max()) + 2
         self._route_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def _link_capacities(self) -> np.ndarray:
-        fab = self.fabric
-        cap = np.full(fab.num_ports, self.cal.link_bandwidth)
-        host_owned = fab.port_owner < fab.num_endports
-        cap[host_owned] = self.cal.host_bandwidth        # injection
-        into_host = (fab.peer_node >= 0) & (fab.peer_node < fab.num_endports)
-        cap[into_host] = np.minimum(cap[into_host], self.cal.host_bandwidth)
-        return cap
-
     def _route(self, src: int, dst: int) -> np.ndarray:
         key = (src, dst)
         cached = self._route_cache.get(key)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import LinkCalibration
+from .calibration import LinkCalibration, link_capacities
 
 __all__ = [
     "ideal_sequence_time",
@@ -53,38 +53,30 @@ def link_byte_loads(tables, sequences) -> np.ndarray:
     run, giving time-averaged utilisation when divided by
     ``capacity * makespan``.
     """
-    from ..analysis.hsd import walk_flow_links
+    from ..analysis.hsd import _count_links
 
-    fab = tables.fabric
-    srcs, dsts, sizes = [], [], []
-    for p, seq in enumerate(sequences):
-        for dst, size in seq:
-            if dst != p and size > 0:
-                srcs.append(p)
-                dsts.append(dst)
-                sizes.append(float(size))
-    loads = np.zeros(fab.num_ports)
-    if not srcs:
-        return loads
-    src = np.asarray(srcs)
-    dst = np.asarray(dsts)
-    size = np.asarray(sizes)
-    flow_idx, gports = walk_flow_links(tables, src, dst)
-    np.add.at(loads, gports, size[flow_idx])
-    return loads
+    src, dst, size = _messages(sequences)
+    loads, routes, _, _ = _count_links(tables, src, dst, weights=size)
+    routes.raise_fault()
+    return loads[0].astype(np.float64)  # bincount of nothing is int
+
+
+def _messages(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, size)`` of every message that crosses the fabric
+    (not to itself, not empty), by source port then sequence position."""
+    msgs = [(p, d, float(size)) for p, seq in enumerate(sequences)
+            for d, size in seq if d != p and size > 0]
+    arr = np.array(msgs, dtype=np.float64).reshape(-1, 3)
+    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
 
 
 def utilization_report(tables, sequences, makespan: float,
                        calibration: LinkCalibration,
                        top: int = 10) -> str:
     """Text report of the hottest links' time-averaged utilisation."""
-    from ..fabric.render import render_link_loads
-
     fab = tables.fabric
     loads = link_byte_loads(tables, sequences)
-    cap = np.full(fab.num_ports, calibration.link_bandwidth)
-    host_owned = fab.port_owner < fab.num_endports
-    cap[host_owned] = calibration.host_bandwidth
+    cap = link_capacities(fab, calibration)
     util = loads / (cap * max(makespan, 1e-12))
     order = np.argsort(-util)[:top]
     lines = [f"time-averaged link utilisation over {makespan:.1f} us "
@@ -116,19 +108,12 @@ def zero_load_latencies(
     Ordered like :attr:`PacketResult.latencies` (by source port, then
     sequence position; self and zero-byte messages excluded).
     """
-    srcs, dsts, sizes = [], [], []
-    for p, seq in enumerate(sequences):
-        for d, size in seq:
-            if d != p and size > 0:
-                srcs.append(p)
-                dsts.append(d)
-                sizes.append(float(size))
-    if not srcs:
+    src, dst, size = _messages(sequences)
+    if not len(src):
         return np.empty(0)
-    hops = tables.paths_matrix()[np.asarray(srcs), np.asarray(dsts)]
+    hops = tables.paths_matrix()[src, dst]
     if (hops < 0).any():
         raise ValueError("workload contains unroutable destinations")
-    size = np.asarray(sizes)
     # hops counts traversed links; switches traversed = links - 1.  The
     # tail crosses the ejection link once more after the header lands
     # (the packet model serialises ejection at the PCIe-limited rate).

@@ -151,18 +151,6 @@ class PacketSimulator:
         self.healing = healing
 
     # -- shared helpers ----------------------------------------------------
-    def _link_capacities(self) -> np.ndarray:
-        """Per-gport serialisation bandwidth (injection/ejection PCIe
-        limited, switch-to-switch at wire speed)."""
-        fab = self.fabric
-        N = fab.num_endports
-        cap = np.full(fab.num_ports, self.cal.link_bandwidth)
-        host_owned = fab.port_owner < N
-        cap[host_owned] = self.cal.host_bandwidth
-        into_host = (fab.peer_node >= 0) & (fab.peer_node < N)
-        cap[into_host] = np.minimum(cap[into_host], self.cal.host_bandwidth)
-        return cap
-
     def _finalize(
         self,
         records: list[MessageRecord],

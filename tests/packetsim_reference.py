@@ -23,6 +23,7 @@ import numpy as np
 from repro.faults.controller import HealingController, RepairAction
 from repro.faults.packetsim import FaultRunReport, LostMessage
 from repro.faults.schedule import FaultSchedule
+from repro.sim.calibration import link_capacities
 from repro.sim.events import EventQueue, SimulationError
 from repro.sim.fluid import MessageRecord
 from repro.sim.packet import PacketEngineStats, PacketResult
@@ -108,7 +109,7 @@ def run_faulty(
     applied: list[RepairAction] = []
     ctr = _Counters()
 
-    cap = sim._link_capacities()
+    cap = link_capacities(sim.fabric, sim.cal)
 
     def segment(size: float) -> list[float]:
         full, rest = divmod(size, cal.mtu)
