@@ -203,12 +203,16 @@ def _hostile(tables, kind, rng):
         sw[int(fab.peer_node[g]) - N, d] = int(fab.port_peer[g])
         return ForwardingTables(fab, sw, tables.host_up)
     # valley: a switch above the leaves sends d down a wrong child
-    rows = [r for r in range(fab.num_switches) if lvl[N + r] >= 2]
+    # (only a switch with a live down cable left can do that)
+    def live_downs(r):
+        ports = fab.ports_of(N + r)
+        return ports[~goes_up[ports] & (fab.port_peer[ports] >= 0)]
+    rows = [r for r in range(fab.num_switches)
+            if lvl[N + r] >= 2 and len(live_downs(r))]
     if not rows:
         return None
     r = rows[rng.integers(len(rows))]
-    ports = fab.ports_of(N + r)
-    downs = ports[~goes_up[ports] & (fab.port_peer[ports] >= 0)]
+    downs = live_downs(r)
     sw[r, d] = int(downs[rng.integers(len(downs))])
     return ForwardingTables(fab, sw, tables.host_up)
 
