@@ -1,9 +1,10 @@
 """Fault-space sweep: incremental delta vs cold re-certification.
 
 The whole point of building the fault-space analyzer on the symbolic
-certifier's ``keep_links`` cache: certifying 675 degraded n324 fabrics
-(every cable, every switch) must cost *deltas*, not 675 cold
-certifications.  The cold engine re-walks every flow of every stage
+certifier's link-failure delta (``recertify_link_failure`` and the
+lookup index it caches on the healthy case state): certifying 675
+degraded n324 fabrics (every cable, every switch) must cost *deltas*,
+not 675 cold certifications.  The cold engine re-walks every flow of every stage
 per fault; the incremental engine batch-rewalks only the flows whose
 healthy path crossed a dead cable (repair locality guarantees those
 are the only ones that can move) and patches the healthy per-stage

@@ -80,7 +80,7 @@ from ..routing.repair import REPAIR_STRATEGIES
 from ..topology import paper_topologies, pgft
 from ..topology.spec import PGFTSpec
 from . import CODES, ENGINES, PASS_ORDER, CheckContext, ScheduleCase, run_check
-from .faultspace import FAULT_UNIT_KINDS, SWEEP_ENGINES
+from .faultspace import FAULT_UNIT_KINDS
 from .isolation import ISOLATION_ENGINES
 from .sarif import build_line_map, dumps_sarif
 
@@ -274,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="balanced",
                     help="repair under test; 'auto' picks the better "
                          "static score per fault (default: %(default)s)")
-    fs.add_argument("--fault-engine", choices=SWEEP_ENGINES,
-                    default="incremental",
-                    help="'incremental' re-certifies via the symbolic "
-                         "delta cache, 'cold' re-walks every flow "
-                         "(default: %(default)s)")
     fs.add_argument("--load-bound", type=int, default=None, metavar="L",
                     help="RQL011 worst-link destination-multiplicity bound "
                          "(default: healthy max + faults per combo)")
@@ -390,7 +385,6 @@ def main(argv: list[str] | None = None) -> int:
                            samples=args.fault_samples,
                            seed=args.fault_seed,
                            strategy=args.repair,
-                           engine=args.fault_engine,
                            load_bound=args.load_bound)
 
     isolation = None

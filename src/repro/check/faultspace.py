@@ -20,13 +20,15 @@ k-bounded combinations) the sweep
     incremental mode, so an n324 sweep costs per-fault *deltas*, not
     cold certifications.
 
-The incremental engine is exact: it reuses the healthy case's cached
-closed-form link traversal (``certify(..., keep_links=True)``) through
-a CSR-style index, re-walks only the flows whose healthy path crossed
-a dead cable, and reconstructs counterexamples from cache + delta.
-``engine="cold"`` re-certifies each degraded fabric from scratch by
-enumeration; the two produce bit-identical records (the test suite
-diffs them), and ``BENCH_faultspace.json`` tracks the speedup.
+The incremental engine is
+:meth:`~repro.check.symbolic.SymbolicCertifier.recertify_link_failure`
+on one healthy case state: it re-walks only the flows whose healthy
+closed-form path crossed a dead cable, through a lookup index built
+once per state, and reconstructs the first counterexample from index +
+delta.  ``engine="cold"`` re-certifies each degraded fabric from
+scratch by enumeration; the two produce bit-identical records (the
+test suite diffs them), and ``BENCH_faultspace.json`` tracks the
+speedup.
 
 Findings surface as stable ``RQL0xx`` diagnostics through
 :class:`FaultSpacePass` (``python -m repro.check --fault-space``); the
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -56,7 +59,7 @@ from ..routing.repair import (
 from .common import colliding_pairs_payload, link_loc, valley_hops
 from .diagnostics import Diagnostic, DiagnosticReport, Loc
 from .passes import CheckContext, CheckPass
-from .symbolic import CaseState, SymbolicCertifier, _member, _sparse_loads
+from .symbolic import CaseState, SymbolicCertifier, _sparse_loads
 
 __all__ = [
     "FAULT_UNIT_KINDS",
@@ -296,120 +299,6 @@ def prepare_fault_cases(tables: ForwardingTables,
 # ----------------------------------------------------------------------
 # Certification engines
 # ----------------------------------------------------------------------
-class _SweepIndex:
-    """CSR-style index over a healthy case's cached closed-form links.
-
-    Built once per (CPS, placement) from a ``keep_links``-certified
-    :class:`CaseState`, whose flat link loads it reads directly; each
-    :meth:`recertify` call is then a pure delta: dead-cable lookup, one
-    batched walk of the detoured flows through the repaired tables, and
-    sparse count arithmetic.  Requires the healthy case to be
-    contention-free (every cached per-link count is at most 1); the
-    general :meth:`SymbolicCertifier.recertify_link_failure` handles the
-    rest.
-    """
-
-    def __init__(self, state: CaseState) -> None:
-        if state.flow_idx is None or state.gports is None:
-            raise ValueError("sweep index needs certify(keep_links=True)")
-        self.state = state
-        P = state.num_ports
-        num_stages = len(state.cps.stages)
-        link_stage = state.link_keys // P
-        self.old_max = np.zeros(num_stages, dtype=np.int64)
-        np.maximum.at(self.old_max, link_stage, state.link_counts)
-        if self.old_max.size and self.old_max.max() > 1:
-            raise ValueError("sweep index requires a contention-free "
-                             "healthy case (use the general recertifier)")
-        self.n_links = np.bincount(link_stage, minlength=num_stages)
-        # view 1: traversal sorted by gport (dead cable -> crossing flows)
-        order_g = np.argsort(state.gports, kind="stable")
-        self.g_sorted = state.gports[order_g]
-        self.g_flow = state.flow_idx[order_g]
-        # view 2: traversal sorted by flow (flow -> its links)
-        order_f = np.argsort(state.flow_idx, kind="stable")
-        self.f_sorted = state.flow_idx[order_f]
-        self.f_g = state.gports[order_f]
-
-    def _expand(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        lens = hi - lo
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        return np.repeat(lo - offs, lens) + np.arange(total, dtype=np.int64)
-
-    def recertify(self, repaired_tables: ForwardingTables,
-                  dead_gports: Sequence[int],
-                  ) -> tuple[list[int], dict[str, Any] | None, int, int]:
-        """Exact per-stage maxima + first counterexample for one fault.
-
-        Returns ``(stage_maxima, first_violation_or_None,
-        stages_touched, flows_rewalked)``.  Matches the cold enumerated
-        engine bit for bit: same maxima, same offending link (lowest
-        gport at the max count), same colliding-pair payload.
-        """
-        st = self.state
-        P = st.num_ports
-        dead = np.asarray(sorted(dead_gports), dtype=np.int64)
-        lo = np.searchsorted(self.g_sorted, dead, side="left")
-        hi = np.searchsorted(self.g_sorted, dead, side="right")
-        sel = self._expand(lo, hi)
-        if not len(sel):
-            return self.old_max.tolist(), None, 0, 0
-        # the flows whose healthy path crossed a dead cable
-        aff = _sparse_loads(self.g_flow[sel])[0]
-        aff_stage = st.stage[aff]
-        touched = int(len(_sparse_loads(aff_stage)[0]))
-        # links those flows used (the subtraction side of the delta)
-        take = self._expand(np.searchsorted(self.f_sorted, aff, side="left"),
-                            np.searchsorted(self.f_sorted, aff, side="right"))
-        sub_key = st.stage[self.f_sorted[take]] * P + self.f_g[take]
-        # one batched walk of every detoured flow through the repair
-        wfi, wg = walk_flow_links(repaired_tables, st.src[aff], st.dst[aff])
-        add_key = aff_stage[wfi] * P + wg
-        # sparse count update on the union of delta links
-        uk = _sparse_loads(np.concatenate([sub_key, add_key]))[0]
-        known = _member(uk, st.link_keys)
-        old_c = np.zeros(len(uk), dtype=np.int64)
-        old_c[known] = st.link_counts[np.searchsorted(st.link_keys,
-                                                      uk[known])]
-        new_c = old_c - np.bincount(np.searchsorted(uk, sub_key),
-                                    minlength=len(uk))
-        new_c += np.bincount(np.searchsorted(uk, add_key), minlength=len(uk))
-        d_stage = uk // P
-        # per-stage new maximum: the unchanged links keep count <= 1, and
-        # at least one of them survives iff the stage has more links than
-        # delta links that existed before the fault
-        maxima = self.old_max.copy()
-        exist = np.bincount(d_stage[old_c > 0], minlength=len(maxima))
-        base = (self.n_links > exist).astype(np.int64)
-        dmax = np.zeros(len(maxima), dtype=np.int64)
-        np.maximum.at(dmax, d_stage, new_c)
-        ts = _sparse_loads(d_stage)[0]
-        maxima[ts] = np.maximum(base[ts], dmax[ts])
-        violation: dict[str, Any] | None = None
-        bad = np.flatnonzero(maxima > 1)
-        if len(bad):
-            s = int(bad[0])
-            gp = int((uk % P)[(d_stage == s) & (new_c == maxima[s])].min())
-            # colliding flows: healthy users of the link minus detoured
-            # flows, plus detoured flows whose repaired walk lands on it
-            j0 = int(np.searchsorted(self.g_sorted, gp, side="left"))
-            j1 = int(np.searchsorted(self.g_sorted, gp, side="right"))
-            old_flows = self.g_flow[j0:j1]
-            old_flows = old_flows[st.stage[old_flows] == s]
-            old_keep = old_flows[~_member(old_flows, aff)]
-            new_hit = aff[wfi[(wg == gp) & (aff_stage[wfi] == s)]]
-            on_link = _sparse_loads(np.concatenate([old_keep, new_hit]))[0]
-            violation = {
-                "stage": s, "stage_label": st.cps.stages[s].label,
-                "gport": gp, "link_load": int(maxima[s]),
-                **colliding_pairs_payload(st.src, st.dst, on_link),
-            }
-        return maxima.tolist(), violation, touched, int(len(aff))
-
-
 def _cold_certify(tables: ForwardingTables, cps: CPS,
                   placement: np.ndarray,
                   ) -> tuple[list[int], dict[str, Any] | None]:
@@ -537,8 +426,10 @@ def certify_prepared(tables: ForwardingTables,
     The certification phase proper: repairs and static scores come in
     via ``prepared`` (see :func:`prepare_fault_cases`), so benchmarking
     this function compares pure incremental-vs-cold certification cost.
-    ``healthy_state`` lets callers reuse a ``keep_links`` certification
-    of the healthy fabric across sweeps.
+    The incremental engine is
+    :meth:`SymbolicCertifier.recertify_link_failure` on one healthy
+    :class:`CaseState`; ``healthy_state`` lets callers reuse one across
+    sweeps (its lookup index is built on first use and stays cached).
     """
     if engine not in SWEEP_ENGINES:
         raise ValueError(f"unknown sweep engine {engine!r}; "
@@ -549,21 +440,18 @@ def certify_prepared(tables: ForwardingTables,
     max_units = max((len(p.units) for p in prepared), default=1)
     bound = load_bound if load_bound is not None \
         else healthy_mult + max_units
-    index: _SweepIndex | None = None
     if engine == "incremental":
         if spec is None:
             raise ValueError("the incremental engine needs a PGFT spec "
                              "(symbolic closed form); use engine='cold'")
+        certifier = SymbolicCertifier(spec, active)
         if healthy_state is None:
-            certifier = SymbolicCertifier(spec, active)
-            healthy, healthy_state = certifier.certify(cps, placement,
-                                                       keep_links=True)
-            if healthy.refuted:
-                raise ValueError(
-                    "healthy schedule is already refuted; the fault-space "
-                    "delta engine needs a contention-free baseline "
-                    "(use engine='cold')")
-        index = _SweepIndex(healthy_state)
+            healthy_state = certifier.certify(cps, placement)[1]
+        if healthy_state.link_counts.max(initial=0) > 1:
+            raise ValueError(
+                "healthy schedule is already refuted; there is no "
+                "contention certificate to lose (use engine='cold')")
+        recertify = partial(certifier.recertify_link_failure, healthy_state)
     result = FaultSpaceResult(
         records=[], engine=engine, strategy=prepared[0].repair.strategy
         if prepared else "", cps_name=cps.name,
@@ -592,11 +480,11 @@ def certify_prepared(tables: ForwardingTables,
             result.records.append(record)
             continue
         if engine == "incremental":
-            assert index is not None
-            maxima, violation, touched, rewalked = index.recertify(
-                rep.tables, p.dead_gports)
-            result.stages_touched += touched
-            result.flows_recomputed += rewalked
+            res, stats = recertify(rep.tables, p.dead_gports)
+            maxima = res.maxima
+            violation = res.violations[0] if res.violations else None
+            result.stages_touched += stats.stages_touched
+            result.flows_recomputed += stats.flows_recomputed
         else:
             maxima, violation = _cold_certify(rep.tables, cps, placement)
         verdict = "refuted" if max(maxima, default=0) > 1 \
@@ -636,6 +524,30 @@ def _count_valleys(base: ForwardingTables, repaired: ForwardingTables,
     return int(len(flow_valleys(repaired, src, dst)))
 
 
+def _prepare_space(tables: ForwardingTables, units: str, max_faults: int,
+                   samples: int, seed: int, strategy: str,
+                   active: np.ndarray | None, include_host_cables: bool,
+                   check_valleys: bool) -> list[PreparedFault]:
+    """Enumerate, sample, repair and score the fault space of the
+    tables' fabric (``strategy="auto"`` keeps the better repair per
+    fault)."""
+    if strategy not in REPAIR_STRATEGIES + ("auto",):
+        raise ValueError(f"unknown repair strategy {strategy!r}")
+    units_t = enumerate_fault_units(tables.fabric, units=units,
+                                    include_host_cables=include_host_cables)
+    combos = sample_fault_combos(units_t, max_faults=max_faults,
+                                 samples=samples, seed=seed)
+    if strategy != "auto":
+        return prepare_fault_cases(tables, combos, strategy=strategy,
+                                   active=active, check_valleys=check_valleys)
+    nav = prepare_fault_cases(tables, combos, strategy="naive",
+                              active=active, check_valleys=check_valleys)
+    bal = prepare_fault_cases(tables, combos, strategy="balanced",
+                              active=active, check_valleys=check_valleys)
+    return [b if score_repair(b.repair) <= score_repair(n.repair) else n
+            for n, b in zip(nav, bal)]
+
+
 def sweep_fault_space(tables: ForwardingTables, cps: CPS,
                       placement: np.ndarray,
                       units: str = "both",
@@ -643,7 +555,6 @@ def sweep_fault_space(tables: ForwardingTables, cps: CPS,
                       samples: int = 16,
                       seed: int = 0,
                       strategy: str = "balanced",
-                      engine: str = "incremental",
                       active: np.ndarray | None = None,
                       load_bound: int | None = None,
                       include_host_cables: bool = True,
@@ -653,30 +564,17 @@ def sweep_fault_space(tables: ForwardingTables, cps: CPS,
 
     The one-call driver: :func:`enumerate_fault_units` +
     :func:`sample_fault_combos` + :func:`prepare_fault_cases` +
-    :func:`certify_prepared`.
+    :func:`certify_prepared`.  A fabric with a PGFT spec is certified
+    by the incremental engine, which reads the tables as D-Mod-K's; a
+    fabric without one by the cold engine.
     """
-    if strategy not in REPAIR_STRATEGIES + ("auto",):
-        raise ValueError(f"unknown repair strategy {strategy!r}")
-    units_t = enumerate_fault_units(tables.fabric, units=units,
-                                    include_host_cables=include_host_cables)
-    combos = sample_fault_combos(units_t, max_faults=max_faults,
-                                 samples=samples, seed=seed)
-    if strategy == "auto":
-        nav = prepare_fault_cases(tables, combos, strategy="naive",
-                                  active=active,
-                                  check_valleys=check_valleys)
-        bal = prepare_fault_cases(tables, combos, strategy="balanced",
-                                  active=active,
-                                  check_valleys=check_valleys)
-        prepared = [b if score_repair(b.repair) <= score_repair(n.repair)
-                    else n for n, b in zip(nav, bal)]
-    else:
-        prepared = prepare_fault_cases(tables, combos, strategy=strategy,
-                                       active=active,
-                                       check_valleys=check_valleys)
-    return certify_prepared(tables, prepared, cps, placement,
-                            active=active, engine=engine,
-                            load_bound=load_bound)
+    prepared = _prepare_space(tables, units, max_faults, samples, seed,
+                              strategy, active, include_host_cables,
+                              check_valleys)
+    return certify_prepared(
+        tables, prepared, cps, placement, active=active,
+        engine="cold" if tables.fabric.spec is None else "incremental",
+        load_bound=load_bound)
 
 
 # ----------------------------------------------------------------------
@@ -686,11 +584,13 @@ class FaultSpacePass(CheckPass):
     """Sweep the fault space of the context's fabric and surface the
     routing-quality findings as ``RQL0xx`` diagnostics.
 
-    Runs one sweep per schedule case.  Certified degraded cases land as
-    compact per-fault certificates in the ``faultspace`` artifact; the
-    diagnostics name (capped per code) every fault whose repair loses
-    endpoints, breaks balance, exceeds the load bound, valleys, or
-    invalidates the healthy contention certificate.
+    Runs one sweep per schedule case, certified incrementally for
+    D-Mod-K tables on a fabric with a PGFT spec and cold otherwise.
+    Certified degraded cases land as compact per-fault certificates in
+    the ``faultspace`` artifact; the diagnostics name (capped per code)
+    every fault whose repair loses endpoints, breaks balance, exceeds
+    the load bound, valleys, or invalidates the healthy contention
+    certificate.
     """
 
     name = "fault-space"
@@ -699,7 +599,7 @@ class FaultSpacePass(CheckPass):
 
     def __init__(self, units: str = "both", max_faults: int = 1,
                  samples: int = 16, seed: int = 0,
-                 strategy: str = "balanced", engine: str = "incremental",
+                 strategy: str = "balanced",
                  load_bound: int | None = None,
                  check_valleys: bool = True) -> None:
         self.units = units
@@ -707,27 +607,28 @@ class FaultSpacePass(CheckPass):
         self.samples = samples
         self.seed = seed
         self.strategy = strategy
-        self.engine = engine
         self.load_bound = load_bound
         self.check_valleys = check_valleys
 
     def run(self, ctx: CheckContext, report: DiagnosticReport) -> None:
         tables = ctx.tables
         assert tables is not None
-        engine = self.engine
-        if ctx.routing_name not in ("", "dmodk") and engine == "incremental":
-            engine = "cold"   # the delta engine proves the D-Mod-K form
+        # the delta engine proves the D-Mod-K closed form
+        dmodk = tables.fabric.spec is not None and \
+            ctx.routing_name in ("", "dmodk")
         sweeps: dict[str, Any] = {}
         ctx.artifacts["faultspace"] = sweeps
         for case in ctx.schedule:
             try:
-                result = sweep_fault_space(
-                    tables, case.cps, case.placement,
-                    units=self.units, max_faults=self.max_faults,
-                    samples=self.samples, seed=self.seed,
-                    strategy=self.strategy, engine=engine,
-                    active=ctx.active, load_bound=self.load_bound,
-                    check_valleys=self.check_valleys)
+                prepared = _prepare_space(
+                    tables, self.units, self.max_faults, self.samples,
+                    self.seed, self.strategy, ctx.active, True,
+                    self.check_valleys)
+                result = certify_prepared(
+                    tables, prepared, case.cps, case.placement,
+                    active=ctx.active,
+                    engine="incremental" if dmodk else "cold",
+                    load_bound=self.load_bound)
             except ValueError as exc:
                 report.add(Diagnostic(
                     code="RQL090",

@@ -36,21 +36,23 @@ certifier, which is what the differential engine
 
 Grouping flows by their residue signature is what makes re-verification
 *incremental*: a placement/active-set delta perturbs only the flows
-whose pairs or routing indices changed, and a repaired single cable
-only the flows whose residue profile maps onto that cable
-(:meth:`SymbolicCertifier.recertify` /
-:meth:`SymbolicCertifier.recertify_link_failure`).
+whose pairs or routing indices changed (:meth:`SymbolicCertifier.recertify`),
+and repaired cable losses only the flows whose residue profile maps
+onto a dead cable (:meth:`SymbolicCertifier.recertify_link_failure`,
+the fault-space sweep's engine).
 
 A case is one flat :class:`CaseState` keyed by stage: eq. (1) runs
 over all stages' flows at once, a placement delta is one multiset
 difference over the whole case, and all refuted stages'
-counterexamples come out of one sort-based pass.
+counterexamples come out of one sort-based pass.  A link-failure delta
+reads a lookup index over the whole case's traversal, built on the
+first such call and cached on the state.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Any
 
@@ -58,8 +60,9 @@ import numpy as np
 
 from ..analysis.hsd import walk_flow_links
 from ..collectives.cps import CPS
-from ..fabric.lft import ForwardingTables
 from ..collectives.schedule import case_flows
+from ..fabric.lft import ForwardingTables
+from ..fabric.model import build_fabric
 from ..routing.dmodk import dense_ranks, q_profile
 from ..runtime.cache import active_digest, cps_digest, spec_digest
 from ..topology.spec import PGFTSpec
@@ -327,9 +330,9 @@ class CaseState:
 
     ``src``/``dst``/``stage`` list every stage's flows, stage-major;
     ``link_keys`` are the sorted distinct ``stage * num_ports + gport``
-    links they cross, ``link_counts`` the flows per link.  The optional
-    raw traversal ``flow_idx``/``gports`` (``keep_links=True``) makes a
-    link-failure delta pure lookups.
+    links they cross, ``link_counts`` the flows per link.  The first
+    :meth:`SymbolicCertifier.recertify_link_failure` call on a state
+    caches the lookup index it needs on the state.
     """
 
     cps: CPS
@@ -342,8 +345,8 @@ class CaseState:
     stage: np.ndarray
     link_keys: np.ndarray
     link_counts: np.ndarray
-    flow_idx: np.ndarray | None = None   # cached traversal (optional)
-    gports: np.ndarray | None = None
+    _link_index: _LinkIndex | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def cps_digest(self) -> str:
@@ -436,6 +439,18 @@ def _block_loads(blocks: Iterable[_Pair], stage: np.ndarray,
                     for fi, gp in blocks])
 
 
+def _stage_maxima(state: CaseState) -> _Pair:
+    """Stage segments of the sorted ``link_keys`` (stage ``s`` owns
+    ``seg[s]:seg[s + 1]``) and each stage's maximum link count."""
+    num_stages = len(state.cps.stages)
+    seg = np.searchsorted(state.link_keys,
+                          np.arange(num_stages + 1) * state.num_ports)
+    used = seg[:-1] < seg[1:]
+    maxima = np.zeros(num_stages, dtype=np.int64)
+    maxima[used] = np.maximum.reduceat(state.link_counts, seg[:-1][used])
+    return seg, maxima
+
+
 def _apply_delta(keys: np.ndarray, counts: np.ndarray,
                  sub: _Pair, add: _Pair) -> _Pair:
     """Merge sparse link-load deltas into a sparse (keys, counts)
@@ -475,30 +490,24 @@ class SymbolicCertifier:
 
     # -- full pass ------------------------------------------------------
     def certify(self, cps: CPS, placement: np.ndarray,
-                keep_links: bool = False) -> tuple[SymbolicResult, CaseState]:
-        """Certify one case; ``keep_links`` additionally caches the raw
-        traversal arrays in the returned state so subsequent
-        :meth:`recertify_link_failure` calls are pure delta lookups."""
+                ) -> tuple[SymbolicResult, CaseState]:
+        """Certify one case; the returned state feeds the incremental
+        re-certifiers."""
         placement = np.asarray(placement, dtype=np.int64)
         src, dst, stage = case_flows(cps, placement)
         num_ports = self.spec.num_ports
-        links = _case_links(self.spec, src, dst, stage, self.ridx)
-        blocks = list(links) if keep_links else links
-        keys, counts = _block_loads(blocks, stage, num_ports)
+        keys, counts = _block_loads(
+            _case_links(self.spec, src, dst, stage, self.ridx),
+            stage, num_ports)
         state = CaseState(
             cps=cps, placement=placement.copy(), active=self.active,
             ridx=self.ridx, num_ports=num_ports, src=src, dst=dst,
             stage=stage, link_keys=keys, link_counts=counts)
-        if keep_links:
-            state.flow_idx, state.gports = _concat(blocks)
         return self._verdict(state), state
 
     def _links(self, state: CaseState, stages: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form traversal of the flows of the flagged stages (the
-        whole cached traversal when the state kept its links)."""
-        if state.flow_idx is not None and state.gports is not None:
-            return state.flow_idx, state.gports
+        """Closed-form traversal of the flows of the flagged stages."""
         sel = np.flatnonzero(stages[state.stage])
         fi, gp = _concat(_case_links(self.spec, state.src[sel],
                                      state.dst[sel], state.stage[sel],
@@ -512,12 +521,7 @@ class SymbolicCertifier:
         ``traverse(stages)`` covers the flagged stages' flows."""
         P = state.num_ports
         keys, counts = state.link_keys, state.link_counts
-        num_stages = len(state.cps.stages)
-        # stage s owns the sorted keys in seg[s]:seg[s + 1]
-        seg = np.searchsorted(keys, np.arange(num_stages + 1) * P)
-        used = seg[:-1] < seg[1:]
-        maxima = np.zeros(num_stages, dtype=np.int64)
-        maxima[used] = np.maximum.reduceat(counts, seg[:-1][used])
+        seg, maxima = _stage_maxima(state)
         violations: list[dict[str, Any]] = []
         bad = maxima > 1
         if bad.any():
@@ -612,7 +616,7 @@ class SymbolicCertifier:
         return _block_loads(_case_links(self.spec, src, dst, stage, ridx),
                             stage, num_ports)
 
-    # -- single-link failure -------------------------------------------
+    # -- link failures ---------------------------------------------------
     def recertify_link_failure(self, state: CaseState,
                                repaired_tables: ForwardingTables,
                                dead_gports: Any,
@@ -625,48 +629,131 @@ class SymbolicCertifier:
         eq.-(1) links (the repair re-points exactly the entries that
         became dead, so live paths are untouched).  ``repaired_tables``
         must be the repair of canonical D-Mod-K tables for this spec and
-        active set; ``dead_gports`` may name either side of each cable.
+        active set; ``dead_gports`` may name either end of each cable.
 
-        When ``state`` carries cached traversals
-        (``certify(..., keep_links=True)``) the delta needs no
-        closed-form evaluation at all.  A refuted stage's counterexample
-        is reconstructed from traversal + repaired-walk delta -- the
-        flows on the offending link are the unaffected flows whose
-        healthy path already used it plus the detoured flows whose
-        repaired path lands on it (repair locality guarantees those are
-        all of them).
+        The first call on a state builds the whole case's traversal
+        once and caches a lookup index on it, so every later call is a
+        pure delta: dead-cable lookups, one batched walk of the detoured
+        flows and sparse count arithmetic.  Exact on any healthy case,
+        refuted or not.  ``SymbolicResult.violations`` holds the first
+        refuted stage's counterexample only (its lowest gport at the
+        maximum): the unaffected flows whose healthy path already used
+        that link plus the detoured flows whose repaired path lands on
+        it (repair locality guarantees those are all of them).
         """
+        ix = state._link_index
+        if ix is None:
+            ix = state._link_index = _LinkIndex(self.spec, state)
         P = state.num_ports
-        dead = np.atleast_1d(np.asarray(dead_gports, dtype=np.int64))
-        both = _sparse_loads(np.concatenate(
-            [dead, np.array([canonical_peer(self.spec, int(g)) for g in dead],
-                            dtype=np.int64)]))[0]
-        touched = np.zeros(len(state.cps.stages), dtype=bool)
-        touched[state.link_keys[_member(state.link_keys % P, both)] // P] = True
-        stats = IncrementalStats(stages_touched=int(touched.sum()),
-                                 stages_total=len(touched),
-                                 flows_total=len(state.src))
         keys, counts = state.link_keys, state.link_counts
-        aff = wfi = wg = np.empty(0, dtype=np.int64)
-        if touched.any():
-            fi, gp = self._links(state, touched)
-            aff = _sparse_loads(fi[_member(gp, both)])[0]
-            stats.flows_recomputed = len(aff)
-            on = _member(fi, aff)
+        dead = np.atleast_1d(np.asarray(dead_gports, dtype=np.int64))
+        peer = ix.peer[dead]
+        dead = _sparse_loads(np.concatenate([dead, peer[peer >= 0]]))[0]
+        # the flows whose healthy path crossed a dead cable
+        aff = _sparse_loads(ix.g_flow[_expand(ix.g_off[dead],
+                                              ix.g_off[dead + 1])])[0]
+        aff_stage = state.stage[aff]
+        stats = IncrementalStats(
+            stages_touched=len(_sparse_loads(aff_stage)[0]),
+            stages_total=len(ix.old_max), flows_recomputed=len(aff),
+            flows_total=len(state.src))
+        maxima = ix.old_max.copy()
+        uk = d_stage = new_c = wfi = wg = np.empty(0, dtype=np.int64)
+        if len(aff):
+            # links those flows used (the subtraction side of the delta)
+            lens = ix.f_off[aff + 1] - ix.f_off[aff]
+            sub_key = (np.repeat(aff_stage, lens) * P
+                       + ix.f_g[_expand(ix.f_off[aff], ix.f_off[aff + 1])])
+            # one batched walk of every detoured flow through the repair
             wfi, wg = walk_flow_links(repaired_tables, state.src[aff],
                                       state.dst[aff])
-            keys, counts = _apply_delta(
-                keys, counts, _sparse_loads(state.stage[fi[on]] * P + gp[on]),
-                _sparse_loads(state.stage[aff[wfi]] * P + wg))
+            add_key = aff_stage[wfi] * P + wg
+            # sparse count update on the union of delta links
+            uk = _sparse_loads(np.concatenate([sub_key, add_key]))[0]
+            pos = np.minimum(np.searchsorted(keys, uk), len(keys) - 1)
+            old_c = np.where(keys[pos] == uk, counts[pos], 0)
+            new_c = old_c - np.bincount(np.searchsorted(uk, sub_key),
+                                        minlength=len(uk))
+            new_c += np.bincount(np.searchsorted(uk, add_key),
+                                 minlength=len(uk))
+            d_stage = uk // P
+            ts = _sparse_loads(d_stage)[0]
+            dmax = np.zeros(len(maxima), dtype=np.int64)
+            np.maximum.at(dmax, d_stage, new_c)
+            # a touched stage keeps its old maximum iff some link at it
+            # lies outside the delta; otherwise rescan the stage's other
+            # links
+            moved = np.bincount(d_stage[old_c == ix.old_max[d_stage]],
+                                minlength=len(maxima))
+            kept = ix.n_at_max[ts] > moved[ts]
+            maxima[ts] = np.maximum(dmax[ts], ix.old_max[ts] * kept)
+            for s in ts[~kept].tolist():
+                lo, hi = ix.seg[s], ix.seg[s + 1]
+                rest = counts[lo:hi][~_member(keys[lo:hi], uk)]
+                maxima[s] = max(maxima[s], rest.max(initial=0))
+        violations: list[dict[str, Any]] = []
+        bad = np.flatnonzero(maxima > 1)
+        if len(bad):
+            s = int(bad[0])
+            top = int(maxima[s])
+            at_top = uk[(d_stage == s) & (new_c == top)]
+            if top <= ix.old_max[s]:   # untouched links may hold it too
+                lo, hi = ix.seg[s], ix.seg[s + 1]
+                rest = keys[lo:hi][counts[lo:hi] == top]
+                at_top = np.concatenate([at_top, rest[~_member(rest, uk)]])
+            gp = int(at_top.min() % P)
+            # colliding flows: healthy users of the link minus detoured
+            # flows, plus detoured flows whose repaired walk lands on it
+            old_flows = ix.g_flow[ix.g_off[gp]:ix.g_off[gp + 1]]
+            old_flows = old_flows[state.stage[old_flows] == s]
+            new_hit = aff[wfi[(wg == gp) & (aff_stage[wfi] == s)]]
+            on_link = _sparse_loads(np.concatenate(
+                [old_flows[~_member(old_flows, aff)], new_hit]))[0]
+            violations.append({
+                "stage": s, "stage_label": state.cps.stages[s].label,
+                "gport": gp, "link_load": top,
+                **colliding_pairs_payload(state.src, state.dst, on_link),
+            })
+        return SymbolicResult(maxima=maxima.tolist(), violations=violations,
+                              total_flows=len(state.src)), stats
 
-        def traverse(bad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            fi, gp = self._links(state, bad)
-            keep = ~_member(fi, aff)
-            return (np.concatenate([fi[keep], aff[wfi]]),
-                    np.concatenate([gp[keep], wg]))
 
-        degraded = replace(state, link_keys=keys, link_counts=counts)
-        return self._verdict(degraded, traverse), stats
+def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges ``lo[i]:hi[i]``."""
+    lens = hi - lo
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offs = np.cumsum(lens) - lens
+    return np.repeat(lo - offs, lens) + np.arange(total, dtype=np.int64)
+
+
+class _LinkIndex:
+    """Lookups a link-failure delta needs, built once per case state.
+
+    The whole case's closed-form traversal in two CSR views -- by gport
+    (dead cable -> crossing flows) and by flow (flow -> its links) --
+    plus each stage's key segment in ``link_keys``, its maximum, how
+    many of its links carry that maximum, and the canonical cable peer
+    of every port.
+    """
+
+    def __init__(self, spec: PGFTSpec, state: CaseState) -> None:
+        P = state.num_ports
+        F = len(state.src)
+        fi, gp = _concat(_case_links(spec, state.src, state.dst,
+                                     state.stage, state.ridx))
+        by_g = np.argsort(gp, kind="stable")
+        self.g_flow = fi[by_g]
+        self.g_off = np.r_[0, np.cumsum(np.bincount(gp, minlength=P))]
+        self.f_g = gp[np.argsort(fi, kind="stable")]
+        self.f_off = np.r_[0, np.cumsum(np.bincount(fi, minlength=F))]
+        self.seg, self.old_max = _stage_maxima(state)
+        stage = state.link_keys // P
+        at_max = state.link_counts == self.old_max[stage]
+        self.n_at_max = np.bincount(stage[at_max],
+                                    minlength=len(self.old_max))
+        self.peer = build_fabric(spec).port_peer
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,6 @@ report precisely what is missing.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cps import CPS
 
 __all__ = [

@@ -13,20 +13,15 @@ import argparse
 
 import numpy as np
 
-from ..analysis.hsd import sequence_hsd
 from ..collectives import (
     binomial,
     dissemination,
-    hierarchical_recursive_doubling,
     recursive_doubling,
     ring,
     shift,
     tournament,
 )
 from ..collectives.cps import CPS, Stage
-from ..fabric import build_fabric
-from ..fabric.model import Fabric
-from ..routing import route_dmodk
 from ..runtime import ParallelSweeper, ResultCache, resolve_jobs
 from ..topology import paper_topologies
 from ..topology.spec import PGFTSpec

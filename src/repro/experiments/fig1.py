@@ -9,8 +9,6 @@ per-up-link flow counts for both orders.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analysis import fixed_shift_pattern, render_table, stage_link_loads
 from ..fabric import build_fabric
 from ..ordering import random_order

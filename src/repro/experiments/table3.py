@@ -23,7 +23,7 @@ import numpy as np
 from ..analysis import render_table, sequence_hsd
 from ..collectives import hierarchical_recursive_doubling
 from ..fabric import build_fabric
-from ..ordering import physical_placement, topology_order
+from ..ordering import physical_placement
 from ..routing import route_dmodk
 from .common import (
     add_runtime_args,

@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from ..analysis import sequence_hsd
 from ..collectives import by_name, hierarchical_recursive_doubling
 from ..ordering import random_order, topology_order

@@ -27,7 +27,7 @@ simultaneously, all at full bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -30,7 +30,7 @@ equal, for power-of-two and odd rank counts alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np

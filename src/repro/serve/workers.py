@@ -38,7 +38,7 @@ from ..check.symbolic import CERTIFICATE_VERSION, CaseState
 from ..collectives import by_name, shift
 from ..collectives.cps import CPS
 from ..fabric import build_fabric
-from ..ordering import random_order, topology_order, topology_subset
+from ..ordering import topology_order, topology_subset
 from ..routing import route_dmodk
 from ..runtime.cache import active_digest, spec_digest
 from ..topology.spec import PGFTSpec

@@ -13,10 +13,8 @@ from repro.analysis import (
     walk_flow_links,
 )
 from repro.collectives import shift
-from repro.fabric import build_fabric
-from repro.ordering import random_order, topology_order
-from repro.routing import route_dmodk, trace_route
-from repro.topology import pgft
+from repro.ordering import topology_order
+from repro.routing import trace_route
 
 
 class TestWalker:

@@ -1,7 +1,6 @@
 """FLT0xx fault-schedule lint: every code fires; clean schedules pass."""
 
 import numpy as np
-import pytest
 
 from repro.check import CheckContext, FaultSchedulePass, run_check
 from repro.faults import FaultEvent, FaultSchedule

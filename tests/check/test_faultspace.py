@@ -9,6 +9,7 @@ the fault-space machinery left the text/JSON CLI outputs of ordinary
 runs untouched.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.check.sarif import (
     to_sarif,
 )
 from repro.collectives import shift
-from repro.fabric import build_fabric
+from repro.fabric import ForwardingTables, build_fabric
 from repro.ordering import topology_order
 from repro.routing import route_dmodk
 from repro.topology import paper_topologies, pgft
@@ -284,6 +285,27 @@ class TestFaultSpacePass:
         direct = sweep_fault_space(tables, cps, order, units="cable")
         assert result.artifacts["faultspace"]["shift/topology"] == \
             direct.to_json()
+
+    def test_specless_fabric_gets_a_cold_sweep(self, small):
+        """Without a PGFT spec there is no closed form to recertify
+        from: the pass sweeps such a fabric with the cold engine (it
+        used to skip the sweep with an RQL090 note)."""
+        fab, tables, cps, order = small
+        bare = ForwardingTables(
+            fabric=dataclasses.replace(fab, spec=None),
+            switch_out=tables.switch_out, host_up=tables.host_up)
+        ctx = CheckContext.for_tables(
+            bare, routing_name="dmodk",
+            schedule=[ScheduleCase(cps, order, label="shift/topology")])
+        result = run_check(ctx, fault_space={"units": "cable"})
+        sweep = result.artifacts["faultspace"]["shift/topology"]
+        assert sweep["engine"] == "cold"
+        prepared = prepare_fault_cases(
+            tables, [(u,) for u in enumerate_fault_units(fab, units="cable")])
+        cold = certify_prepared(tables, prepared, cps, order, engine="cold")
+        assert sweep == cold.to_json()
+        assert sweep_fault_space(bare, cps, order,
+                                 units="cable").to_json() == sweep
 
 
 class TestCli:

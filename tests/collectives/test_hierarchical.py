@@ -1,13 +1,9 @@
 """Section VI: topology-aware hierarchical recursive doubling."""
 
-import math
-
 import numpy as np
-import pytest
 
 from repro.analysis import sequence_hsd
 from repro.collectives import (
-    classify,
     group_stage_plan,
     has_constant_displacement,
     hierarchical_recursive_doubling,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.collectives import (
-    classify,
     has_constant_displacement,
     post_stage,
     pow2_floor,

@@ -1,6 +1,5 @@
 """repro-fabric command-line tool."""
 
-import numpy as np
 import pytest
 
 from repro.fabric import build_fabric, dumps, loads, save

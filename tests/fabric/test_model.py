@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fabric import Fabric, build_fabric
-from repro.topology import PGFT, pgft
+from repro.topology import PGFT
 
 
 class TestBuildFabric:

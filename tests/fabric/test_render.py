@@ -9,7 +9,6 @@ from repro.fabric import (
     render_link_loads,
     render_route,
 )
-from repro.routing import route_dmodk
 from repro.topology import pgft
 
 

@@ -8,7 +8,6 @@ scenario that *completes* with *wrong* data is silent data loss and
 fails the suite immediately.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments import chaos

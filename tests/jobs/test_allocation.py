@@ -7,7 +7,7 @@ from repro.analysis import sequence_hsd, stage_link_loads
 from repro.collectives import hierarchical_recursive_doubling, shift
 from repro.collectives.schedule import stage_flows
 from repro.fabric import build_fabric
-from repro.jobs import AllocationError, Job, SubAllocator
+from repro.jobs import AllocationError, SubAllocator
 from repro.routing import route_dmodk
 from repro.topology import rlft_max
 

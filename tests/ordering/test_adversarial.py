@@ -9,7 +9,7 @@ from repro.collectives.schedule import stage_flows
 from repro.fabric import build_fabric
 from repro.ordering import adversarial_ring_order, ring_successor_permutation
 from repro.routing import route_dmodk
-from repro.topology import paper_topologies, pgft, rlft_max
+from repro.topology import paper_topologies, pgft
 
 
 class TestSuccessorPermutation:

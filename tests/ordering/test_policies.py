@@ -8,7 +8,7 @@ from repro.collectives import shift
 from repro.fabric import build_fabric
 from repro.ordering import block_order, cyclic_order, policy_order, topology_order
 from repro.routing import route_dmodk
-from repro.topology import pgft, rlft_max
+from repro.topology import rlft_max
 
 
 @pytest.fixture(scope="module")

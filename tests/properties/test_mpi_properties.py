@@ -2,7 +2,6 @@
 for arbitrary data, rank counts and algorithms."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

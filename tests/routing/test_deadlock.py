@@ -1,6 +1,5 @@
 """Channel-dependency-graph deadlock analysis."""
 
-import numpy as np
 import pytest
 
 from repro.fabric import ForwardingTables, build_fabric

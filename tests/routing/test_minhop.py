@@ -11,7 +11,6 @@ from repro.routing import (
     check_up_down,
     route_minhop,
 )
-from repro.topology import pgft
 
 
 class TestBFS:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import sequence_hsd
 from repro.check import build_class_schedules
-from repro.collectives import shift
 from repro.fabric import NodeTypeMap, build_fabric
 from repro.routing import (
     TypeAwareRouter,

@@ -1,6 +1,5 @@
 """Routing validators catch broken tables."""
 
-import numpy as np
 import pytest
 
 from repro.fabric import ForwardingTables, build_fabric

@@ -7,10 +7,7 @@ import os
 import threading
 import time
 
-import pytest
-
 from repro.serve.queue import RequeuePolicy
-from repro.serve.service import ServiceConfig
 
 
 def run(coro):

@@ -1,6 +1,5 @@
 """Credit flow control in the packet simulator."""
 
-import numpy as np
 import pytest
 
 from repro.collectives import shift

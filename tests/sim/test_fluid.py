@@ -1,6 +1,5 @@
 """Fluid simulator: analytic cross-checks on small scenarios."""
 
-import numpy as np
 import pytest
 
 from repro.collectives import ring, shift
@@ -10,7 +9,6 @@ from repro.routing import route_dmodk
 from repro.sim import (
     QDR_PCIE_GEN2,
     FluidSimulator,
-    LinkCalibration,
     cps_workload,
     permutation_workload,
 )

@@ -1,19 +1,15 @@
 """Packet simulator: latency arithmetic and agreement with the fluid model."""
 
-import numpy as np
 import pytest
 
 from repro.collectives import shift
-from repro.fabric import build_fabric
 from repro.ordering import random_order, topology_order
-from repro.routing import route_dmodk
 from repro.sim import (
     QDR_PCIE_GEN2,
     FluidSimulator,
     PacketSimulator,
     cps_workload,
 )
-from repro.topology import pgft
 
 CAL = QDR_PCIE_GEN2
 

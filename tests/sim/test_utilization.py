@@ -1,6 +1,5 @@
 """Per-link byte accounting and utilisation reports."""
 
-import numpy as np
 import pytest
 
 from repro.collectives import shift

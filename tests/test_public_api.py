@@ -1,8 +1,5 @@
 """Public API surface: everything advertised imports and works."""
 
-import numpy as np
-import pytest
-
 import repro
 
 

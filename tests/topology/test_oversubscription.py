@@ -8,7 +8,6 @@ HSD >= r.  These tests pin the bound and show D-Mod-K still does the
 best possible thing (exactly r, never worse).
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import sequence_hsd
