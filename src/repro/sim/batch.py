@@ -28,16 +28,15 @@ engine restructures the same model around three observations:
    their sequences autonomously, so the *k*-th messages of all ports
    (a "wave") advance together as NumPy operations -- a bucketed
    calendar over wave epochs instead of a heap over packet events.
-   The wave kernel is blocked: rows are grouped by packet count and
-   each group is sorted longest route first, so packet ``j`` of a
-   block advances hop by hop over contiguous prefixes (hop ``h``
-   touches the rows whose route has a hop ``h``) with no masks.  Each
-   block runs its first ``pieces - 1`` packets at ``mtu / cap`` and
-   then one last-packet step at ``last_size / cap``; the ejection
-   link's credit exemption is a slice boundary, and delivery is
-   computed once, at each row's ejection hop of its last packet.  The
-   FIFO and credit guards read one ring of per-hop tails, written in
-   place.
+   Rows are grouped by packet count into blocks, each sorted longest
+   route first, and a block advances as a wavefront: packet ``j`` at
+   hop ``h`` runs at step ``a*j + h`` (``a`` is 2 only under a credit
+   limit of 1), so one NumPy call advances every hop of every row of
+   the block.  The FIFO and credit guards read a ring of the last few
+   steps' tails.  Packets before the first and hops past a route's end
+   have ``-inf`` tails, so the initial credits and the ejection link's
+   credit exemption need no masks; delivery is computed once, at each
+   row's ejection hop of its last packet.
 
 3. **Scenarios are independent too.**  Every recurrence updates a row
    using only that row's state, so a *batch* axis folds straight into
@@ -402,93 +401,93 @@ def _advance_wave(cal, limit, f0, links, length, caps, pieces, last_size):
 
 def _advance_block(cal, limit, npk, f0, length, caps, last_size):
     """Advance one block of a wave: ``n`` rows of ``npk`` packets each,
-    sorted by route length, longest first.
+    sorted longest route first (hop ``h`` lives on the first ``cnt[h]``).
 
-    Hop ``h`` touches the prefix of ``cnt[h]`` rows whose route has a
-    hop ``h``; of those, the first ``cnt[h+1]`` are credited and the
-    rest are on their ejection link, where the last packet delivers.
+    Cell ``(j, h)`` (packet ``j`` at hop ``h``) waits on ``(j, h-1)``,
+    ``(j-1, h)`` (FIFO) and ``(j-limit, h+1)`` (credit), so step ``t`` of
+    a wavefront advances every cell with ``a*j + h == t`` at once; ``a``
+    is 2 when a credit limit of 1 would put ``(j-1, h+1)`` on ``(j, h)``'s
+    step, and every other hop then holds no packet (``-inf``, unread).
     Returns ``(inject, finish, host_tail, enter, exit)`` with hop-major
     ``(Hb, n)`` ``enter``/``exit``.
     """
     n = len(length)
     Hb = int(length[0])
-    wire = cal.wire_latency
-    swl = cal.switch_latency
+    wire, swl = cal.wire_latency, cal.switch_latency
     cnt = np.searchsorted(-length, -np.arange(Hb + 1)).tolist()
     caps = caps[:, :Hb].T
     enter = np.full((Hb, n), np.inf)
     exit_ = np.full((Hb, n), -np.inf)
     finish = np.empty(n)
-    credit = limit is not None
-    # Per-hop views (hops 1..Hb-1), built once per block: m rows live,
-    # the first c of them credited.
-    hops = list(zip(range(1, Hb), cnt[1:Hb], cnt[2:]))
-    unguarded = [None] * len(hops)
     d_last = last_size / caps
-    last_d = [d_last[h, :m] for h, m, _ in hops]
-    last_out = [exit_[h, :m] for h, m, _ in hops]
+    live = limit is not None and limit < npk  # can a credit guard bind?
+    a = 2 if live and limit == 1 else 1
+    lag = a * limit - 1 if live else 0
+    drain = a * (npk - 1)  # from this step on, hop lo is the last packet's
+    D = max(a, lag) + 1
+    # Two start buffers alternate; row 0 is a permanent -inf "hop -1",
+    # so hop h reads hop h-1 of the previous step as one shifted slice.
+    starts = np.empty((2, Hb + 1, n))
+    starts[:, 0] = -np.inf
     if npk > 1:
-        # rel[k, h]: the tail at hop h+1 (the release of link h) of the
-        # packet in ring slot j % K -- the previous packet's for the FIFO
-        # guard, packet j-limit's for the credit guard.  Credited slots
-        # start released (-inf): the first packets ride the initial
-        # credits.  The ejection link has no credit and no route has
-        # links past it, so those entries start at +inf: no guard reads
-        # them, and one that strayed past the slice boundary would show
-        # as an infinite time rather than a silent no-op.
-        K = limit if credit else 1
-        rel = np.full((K, Hb, n), -np.inf)
-        for h in range(Hb):
-            rel[:, h, cnt[h + 1]:] = np.inf
-        d_mtu = float(cal.mtu) / caps
-        body_d = [d_mtu[h, :m] for h, m, _ in hops]
-        tails = [[rel[k, h - 1, :m] for h, m, _ in hops] for k in range(K)]
-        credits = [[rel[k, h, :c] if credit and c else None
-                    for h, _, c in hops] for k in range(K)]
-    f = f0
-    for j in range(npk):
-        last = j == npk - 1
-        if j:
-            fifo = tails[(j - 1) % K]
-            cred = credits[j % K]
+        # ring[t % D, h]: step t's tails (row Hb: past every route).  The
+        # -inf tails of packets j < 0 and of hops past a route's end bind
+        # no guard: initial credits, and none needed to eject.
+        ring = np.full((D, Hb + 1, n), -np.inf)
+        d_body = float(cal.mtu) / caps
+        for h in range(1, Hb):
+            d_body[h, cnt[h]:] = -np.inf
+
+    def views(t, lo, hi, w):
+        """Step t's starts, previous hops, FIFO and credit guards,
+        serialisations and tails on hops lo..hi-1 of rows 0..w-1."""
+        s = starts[t & 1, lo + 1:hi + 1, :w]
+        prev = starts[~t & 1, lo:hi, :w]
+        if npk == 1:
+            return s, prev, None, None, None, None
+        return (s, prev, ring[(t - a) % D, lo:hi, :w],
+                ring[(t - lag) % D, lo + 1:hi + 1, :w], d_body[lo:hi, :w],
+                ring[t % D, lo:hi, :w])
+
+    # Steps from ramp-up to drain span the block; their views cycle.
+    steady = [views(t, 0, Hb, n) for t in range(2 * D)] if drain > Hb else ()
+    for t in range(drain + Hb):
+        lo = t - drain if t > drain else 0
+        s, prev, fifo, cred, d, out = steady[t % (2 * D)] \
+            if Hb <= t < drain else views(t, lo, min(t + 1, Hb), cnt[lo])
+        if t == 0:
+            s[0] = enter[0] = f0
         else:
-            fifo = cred = unguarded
-        # Hop 0: the host sends when its previous tail left the wire
-        # and (finite buffers) the leaf advertised a credit.
-        s = f
-        if j and credit:
-            s = np.maximum(s, rel[j % K, 0])
-        f = s + (d_last[0] if last else d_mtu[0])
-        if j == 0:
-            inject = s
-            enter[0] = s
-        for (h, m, c), pv, cv, dv, out in zip(
-                hops, fifo, cred, last_d if last else body_d,
-                last_out if last else tails[j % K]):
-            s = s[:m] + wire
-            if j == 0:
+            np.add(prev, wire, out=s)
+            if t < Hb:
                 # Times never decrease from one packet to the next, so a
                 # message first enters a link with its head packet.
-                enter[h, :m] = s
+                enter[t, :cnt[t]] = s[-1, :cnt[t]]
             s += swl
-            if pv is not None:
-                np.maximum(s, pv, out=s)
-            if cv is not None:
-                np.maximum(s[:c], cv, out=s[:c])
-            np.add(s, dv, out=out)
-            if last:
-                # Cut-through delivery: the header reaches the host a
-                # wire latency after the ejection transmit starts, the
-                # tail one serialisation later.
-                finish[c:m] = (s[c:m] + wire) + dv[c:m]
-    exit_[0] = f
-    if credit:
+            if npk > 1:
+                np.maximum(s, fifo, out=s)
+            if live:
+                np.maximum(s, cred, out=s)
+        if t < drain:
+            np.add(s, d, out=out)
+            continue
+        # Hop lo carries the last packet: its tail is the occupancy exit.
+        w = s.shape[1]
+        np.add(s[0], d_last[lo, :w], out=exit_[lo, :w])
+        c = cnt[lo + 1]
+        if c < w:
+            # Cut-through delivery: the header reaches the host a wire
+            # latency after the ejection transmit starts, the tail one
+            # serialisation later.
+            finish[c:w] = (s[0, c:w] + wire) + d_last[lo, c:w]
+        if len(s) > 1:
+            np.add(s[1:], d[1:], out=out[1:])
+    host_tail = exit_[0].copy()
+    if limit is not None:
         # With finite buffers a message still owns a slot on link h
         # until its tail clears link h+1.
-        for h in range(Hb - 1):
-            c = cnt[h + 1]
-            np.maximum(exit_[h, :c], exit_[h + 1, :c], out=exit_[h, :c])
-    return inject, finish, f, enter, exit_
+        np.maximum(exit_[:-1], exit_[1:], out=exit_[:-1])
+    return f0, finish, host_tail, enter, exit_
 
 
 def _element_conflicts(la: np.ndarray, ea: np.ndarray,

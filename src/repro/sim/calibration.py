@@ -15,6 +15,7 @@ Units used throughout the simulators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,17 @@ class LinkCalibration:
     mtu: int = 2048              # bytes per packet (IB MTU)
 
     def __post_init__(self) -> None:
-        if self.link_bandwidth <= 0 or self.host_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
+        # Comparisons written so that NaN fails them.  The simulators
+        # cannot run a negative latency (an arrival before its transmit
+        # starts) and rely on every time being finite.
+        if not (0 < self.link_bandwidth < math.inf
+                and 0 < self.host_bandwidth < math.inf):
+            raise ValueError("bandwidths must be positive and finite")
+        for field in ("switch_latency", "wire_latency", "host_overhead"):
+            value = getattr(self, field)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{field} must be non-negative and finite, got {value!r}")
         if self.mtu < 1:
             raise ValueError("mtu must be at least one byte")
 

@@ -177,6 +177,20 @@ class TestFailures:
         assert float(four[3]) >= float(one[3])
 
 
+class TestDegradation:
+    def test_refuted_healthy_shift_reports_nothing_certified(self):
+        # At n128 the Cont.-92 shift already contends on the healthy
+        # fabric: the table still renders, with nothing certified.
+        from repro.experiments import degradation
+
+        out = degradation.run(topo="n128", failures=(1,), samples=2,
+                              max_shift_stages=8)
+        assert "already contends on the healthy fabric" in out
+        one = next(l.split() for l in out.splitlines()
+                   if l.startswith("1 "))
+        assert one[5:7] == ["0.00", "0.00"]
+
+
 class TestLatency:
     def test_ordered_holds_cut_through(self):
         from repro.experiments import latency

@@ -14,6 +14,7 @@ core keeps plain floats of the same value) -- or raise
 :class:`SimulationError` with the same text.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -33,6 +34,20 @@ from repro.topology import paper_topologies, pgft, rlft_max
 
 from .. import packetsim_reference as ref
 
+
+def _unvalidated(cal, **changes):
+    """``cal`` with ``changes``, skipping ``LinkCalibration``'s checks.
+
+    The constructor rejects negative latencies; the event core's
+    past-event guard and its tolerance are only reachable through them,
+    and both engines must still agree there.
+    """
+    cal = copy.copy(cal)
+    for name, value in changes.items():
+        object.__setattr__(cal, name, value)
+    return cal
+
+
 TABLES = tuple(route_dmodk(build_fabric(spec)) for spec in (
     pgft(2, [4, 4], [1, 2], [1, 2]),
     pgft(3, [2, 2, 2], [1, 2, 2], [1, 1, 1]),
@@ -45,9 +60,8 @@ CALS = (
                         switch_latency=0.35, host_overhead=0.2),
     # a wire latency just below zero schedules arrivals within the
     # past-event tolerance; a clearly negative one trips the guard
-    dataclasses.replace(QDR_PCIE_GEN2, name="tolerated-past",
-                        wire_latency=-1e-10),
-    dataclasses.replace(QDR_PCIE_GEN2, name="past", wire_latency=-0.5),
+    _unvalidated(QDR_PCIE_GEN2, name="tolerated-past", wire_latency=-1e-10),
+    _unvalidated(QDR_PCIE_GEN2, name="past", wire_latency=-0.5),
 )
 SIZES = (0.0, 1.0, 17.0, 1000, 1024.0, 2048.0, 2049.0, 3000, 5000.0,
          8192.0)

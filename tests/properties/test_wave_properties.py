@@ -106,3 +106,48 @@ class TestBlockedWaveKernel:
             _assert_kernel_equals_reference(
                 (QDR_PCIE_GEN2, limit, f0, links, length, caps, pieces,
                  last_size))
+
+
+
+@st.composite
+def long_trains(draw):
+    """Waves whose packet trains are long against the credit limit.
+
+    ``pieces`` reaches ``3*limit + 2``, so packets wait on the credits
+    of packets several places ahead and the kernel's tail ring wraps
+    many times; limit 1 runs its two-step skew.  Some rows cross only
+    very fast links, where ``limit`` packets serialise in less than a
+    hop's header latency, so a credit wrongly read past a route's end
+    can bind.
+    """
+    cal = draw(st.sampled_from(CALS))
+    mtu = float(cal.mtu)
+    limit = draw(st.sampled_from((None, 1, 2, 3, 4, 5)))
+    top = 3 * (limit or 5) + 2
+    R = draw(st.integers(1, 10))
+    H = draw(st.integers(2, 7))
+    ints = lambda lo, hi: draw(st.lists(  # noqa: E731
+        st.integers(lo, hi), min_size=R, max_size=R))
+    length = np.asarray(ints(2, H), dtype=np.int64)
+    length[draw(st.integers(0, R - 1))] = H
+    pieces = np.asarray(ints(1, top), dtype=np.int64)
+    pieces[draw(st.integers(0, R - 1))] = top
+    last_size = np.asarray(draw(st.lists(
+        st.sampled_from([mtu, 0.5 * mtu, 17.0, 1.0]), min_size=R,
+        max_size=R)))
+    caps = np.asarray(draw(st.lists(st.sampled_from(CAPS), min_size=R * H,
+                                    max_size=R * H))).reshape(R, H)
+    fast = np.asarray(draw(st.lists(st.booleans(), min_size=R,
+                                    max_size=R)))
+    caps[fast] = 1.0e6
+    f0 = np.asarray(draw(st.lists(
+        st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+        min_size=R, max_size=R)))
+    links = np.arange(R * H, dtype=np.int64).reshape(R, H)
+    return cal, limit, f0, links, length, caps, pieces, last_size
+
+
+@given(long_trains())
+@settings(max_examples=300, deadline=None)
+def test_long_trains_equal_masked_reference(args):
+    _assert_kernel_equals_reference(args)

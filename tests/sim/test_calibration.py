@@ -1,5 +1,8 @@
 """Calibration constants and derived timings."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.sim import DDR_PCIE_GEN1, EDR_PCIE_GEN3, QDR_PCIE_GEN2, LinkCalibration
@@ -34,6 +37,28 @@ def test_validation():
         LinkCalibration("bad", link_bandwidth=0, host_bandwidth=1)
     with pytest.raises(ValueError):
         LinkCalibration("bad", link_bandwidth=1, host_bandwidth=1, mtu=0)
+
+
+@pytest.mark.parametrize("bandwidth", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["link_bandwidth", "host_bandwidth"])
+def test_rejects_bad_bandwidths(field, bandwidth):
+    with pytest.raises(ValueError, match="bandwidths"):
+        dataclasses.replace(QDR_PCIE_GEN2, **{field: bandwidth})
+
+
+@pytest.mark.parametrize("value", [-0.5, -1e-10, math.nan, math.inf,
+                                   -math.inf])
+@pytest.mark.parametrize("field", ["switch_latency", "wire_latency",
+                                   "host_overhead"])
+def test_rejects_negative_or_non_finite_latencies(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(QDR_PCIE_GEN2, **{field: value})
+
+
+def test_accepts_zero_latencies():
+    cal = dataclasses.replace(QDR_PCIE_GEN2, switch_latency=0.0,
+                              wire_latency=0.0, host_overhead=0.0)
+    assert cal.zero_load_latency(2048, hops=2) == 2048 / 3250.0
 
 
 def test_generations_ordered():
