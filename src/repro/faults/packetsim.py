@@ -66,8 +66,8 @@ import numpy as np
 
 from ..sim.calibration import link_capacities
 from ..sim.events import SimulationError
-from ..sim.fluid import MessageRecord
 from ..sim.packet import PacketEngineStats, PacketResult
+from ..sim.records import RecordTable
 from .controller import HealingController, RepairAction
 from .schedule import FaultSchedule
 
@@ -102,6 +102,11 @@ class FaultRunReport:
     dropped_packets: int
     lost: tuple[LostMessage, ...]
     repairs: tuple[RepairAction, ...]  # table swaps applied mid-run
+
+    def __post_init__(self) -> None:
+        # summed off the record table, which stores sizes as floats
+        object.__setattr__(self, "delivered_bytes",
+                           float(self.delivered_bytes))
 
     @property
     def delivered_fraction(self) -> float:
@@ -607,29 +612,27 @@ def run_faulty(
             "(deadlock in the event core)")
 
     messages.sort(key=lambda m: (m.src, m.seq_idx))
-    records = [
-        MessageRecord(m.src, m.dst, m.size, m.start,
-                      float(m.inject), float(m.finish))
-        for m in messages
-    ]
-    real = [m for m in messages if m.size > 0 and m.src != m.dst]
-    delivered = [m for m in real if m.finish >= 0]
+    table = RecordTable.from_rows([
+        (m.src, m.dst, m.size, m.start, m.inject, m.finish)
+        for m in messages])
+    delivered = table.real & table.done
     lost = tuple(
         LostMessage(src=m.src, dst=m.dst, seq=m.seq_idx, size=m.size,
                     dropped_packets=m.dropped, reason=m.reason)
-        for m in real if m.finish < 0
-    )
-    stats = PacketEngineStats(
-        engine="reference", fast_path=False, fallback=False,
-        conflicts=0, messages=len(real), packets=ctr.packets,
-        events_saved=0,
-    )
-    result = sim._finalize(records, sequences, stats)
+        for m, gone in zip(messages, (table.real & ~table.done).tolist())
+        if gone)
+    num_real = int(table.real.sum())
+    result = PacketResult(
+        records=table, num_ports=N, calibration=cal,
+        engine_stats=PacketEngineStats(
+            engine="reference", fast_path=False, fallback=False,
+            conflicts=0, messages=num_real, packets=ctr.packets,
+            events_saved=0))
     report = FaultRunReport(
         t0=t0, end=t0 + result.makespan,
-        total_messages=len(real),
-        delivered_messages=len(delivered),
-        delivered_bytes=sum(m.size for m in delivered),
+        total_messages=num_real,
+        delivered_messages=int(delivered.sum()),
+        delivered_bytes=sum(table.size[delivered].tolist()),
         dropped_packets=ctr.dropped,
         lost=lost,
         repairs=tuple(applied),

@@ -19,10 +19,9 @@ from .batch import (
     run_batch,
 )
 from .events import EventQueue, SimulationError
-from .fluid import FluidResult, FluidSimulator, MessageRecord
+from .fluid import FluidResult, FluidSimulator
 from .metrics import (
     bandwidth_lower_bound,
-    delivered_fraction,
     efficiency,
     ideal_sequence_time,
     link_byte_loads,
@@ -30,6 +29,7 @@ from .metrics import (
     zero_load_latencies,
 )
 from .packet import PacketEngineStats, PacketResult, PacketSimulator
+from .records import MessageRecord, RecordTable, RunResult
 from .workload import (
     cps_workload,
     merge_sequences,
@@ -56,11 +56,12 @@ __all__ = [
     "PacketResult",
     "PacketSimulator",
     "QDR_PCIE_GEN2",
+    "RecordTable",
+    "RunResult",
     "SimulationError",
     "bandwidth_lower_bound",
     "cps_workload",
     "cps_workload_arrays",
-    "delivered_fraction",
     "efficiency",
     "ideal_sequence_time",
     "link_byte_loads",

@@ -84,11 +84,10 @@ scenario: elements that share a workload, credit regime, fault schedule
 each get their own copy of its result (or of its error), so every
 element's result is bit-identical to its solo run, fast or not.
 
-Results are lazy: :class:`BatchElement` holds array slices and computes
-``makespan``/``latencies`` vectorized; the full
-:class:`~repro.sim.packet.PacketResult` (with per-message record
-objects) is materialised only on demand through the same
-``PacketSimulator._finalize`` every packet run uses.
+A fast element's :class:`~repro.sim.packet.PacketResult` reads a
+:class:`~repro.sim.records.RecordTable` over its workload's result
+columns (elements sharing a workload share the table); its per-message
+record objects are built only if ``messages`` is read.
 """
 
 from __future__ import annotations
@@ -102,8 +101,8 @@ import numpy as np
 from ..fabric.lft import ForwardingTables
 from .calibration import QDR_PCIE_GEN2, LinkCalibration, link_capacities
 from .events import SimulationError
-from .fluid import MessageRecord
 from .packet import PacketEngineStats, PacketResult, PacketSimulator
+from .records import EMPTY, RecordTable, sequence_columns
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..collectives.cps import CPS
@@ -243,53 +242,35 @@ class BatchStats:
 
 
 class BatchElement:
-    """Lazy per-element result: array metrics now, records on demand."""
+    """Per-element result: the element's :class:`PacketResult` or the
+    error its run raised."""
 
     def __init__(self, index: int, spec: BatchSpec):
         self.index = index
         self.label = spec.elements[index].label
-        self._spec = spec
         #: "fast" | "fallback" | "error"
         self.status = "fast"
         #: demotion detail: "" | "route" | "budget" | "conflict" | "fault"
         self.reason = ""
-        self._result: PacketResult | None = None
         self._error: SimulationError | None = None
-        # fast-path payload (overwritten by run_batch for non-empty
-        # elements; the defaults are the correct empty-workload answer)
+        self._result: PacketResult | None = None
         z = np.zeros(0, dtype=np.int64)
         zf = np.zeros(0, dtype=np.float64)
-        self._src = z
-        self._dst = z
-        self._size = zf
-        self._start = zf
-        self._inject = zf
-        self._finish = zf
         self._occ: tuple[np.ndarray, np.ndarray, np.ndarray] | None = \
             (z, zf, zf)
-        self._makespan = 0.0
         self._n_real = 0
         self._packets = 0
-        self._events_saved = 0
         self._conflicts = 0
 
-    # -- vectorized metrics (no record objects) ------------------------
     @property
     def makespan(self) -> float:
-        if self._result is not None:
-            return self._result.makespan
-        if self._error is not None:
-            return math.nan
-        return self._makespan
+        return math.nan if self._error is not None \
+            else self.packet_result().makespan
 
     @property
     def latencies(self) -> np.ndarray:
-        if self._result is not None:
-            return self._result.latencies
-        if self._error is not None:
-            return np.empty(0)
-        real = (self._src != self._dst) & (self._size > 0)
-        return (self._finish - self._start)[real]
+        return np.empty(0) if self._error is not None \
+            else self.packet_result().latencies
 
     def occupancy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fast-path link-occupancy intervals ``(links, enter, exit)``.
@@ -304,35 +285,21 @@ class BatchElement:
                 f"(status={self.status})")
         return self._occ
 
-    # -- full result ----------------------------------------------------
     def packet_result(self) -> PacketResult:
         """The element's :class:`PacketResult`, identical to its solo
-        ``PacketSimulator`` run.
-
-        Fast-path elements materialise records through
-        ``PacketSimulator._finalize``; demoted elements return their
-        stored event-core result; elements whose run raised re-raise the
-        same error here.
-        """
+        ``PacketSimulator`` run; elements whose run raised re-raise the
+        same error here."""
         if self._error is not None:
             raise self._error
-        if self._result is not None:
-            return self._result
-        spec = self._spec
-        seqs = spec.elements[self.index].materialize_sequences(
-            spec.tables.fabric.num_endports)
-        records = list(map(
-            MessageRecord, self._src.tolist(), self._dst.tolist(),
-            self._size.tolist(), self._start.tolist(),
-            self._inject.tolist(), self._finish.tolist()))
-        stats = PacketEngineStats(
-            engine="vector", fast_path=True, fallback=False, conflicts=0,
-            messages=self._n_real, packets=self._packets,
-            events_saved=self._events_saved)
-        sim = PacketSimulator(spec.tables, spec.calibration,
-                              engine="reference")
-        self._result = sim._finalize(records, seqs, stats)
+        assert self._result is not None  # run_batch sets one of the two
         return self._result
+
+
+def _fast_stats(messages: int, packets: int,
+                events_saved: int) -> PacketEngineStats:
+    return PacketEngineStats(
+        engine="vector", fast_path=True, fallback=False, conflicts=0,
+        messages=messages, packets=packets, events_saved=events_saved)
 
 
 @dataclass
@@ -556,15 +523,8 @@ def _flatten_element(el: ScenarioSpec, num_endports: int
     """(src, dst, size, wave) rows of one element, in row-major
     (port, seq) order -- the event core's record order."""
     if el.sequences is not None:
-        counts = np.asarray([len(seq) for seq in el.sequences],
-                            dtype=np.int64)
-        src = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        first = np.cumsum(counts) - counts
-        wave = np.arange(len(src), dtype=np.int64) - np.repeat(first, counts)
-        dst = np.asarray([d for seq in el.sequences for d, _ in seq],
-                         dtype=np.int64)
-        size = np.asarray([s for seq in el.sequences for _, s in seq],
-                          dtype=np.float64)
+        src, dst, size = sequence_columns(el.sequences)
+        wave = np.arange(len(src)) - np.searchsorted(src, src)
         return src, dst, size, wave
     nmsg = el.nmsg
     K = el.dst.shape[1] if el.dst.ndim == 2 else 0
@@ -626,6 +586,12 @@ def run_batch(spec: BatchSpec) -> BatchResult:
             for i in users:
                 workload[i] = users[0]
 
+    # Fast elements that no chunk priced have an empty workload.
+    for e in out:
+        if e.status == "fast" and e._result is None:
+            e._result = PacketResult(EMPTY, N, spec.calibration,
+                                     engine_stats=_fast_stats(0, 0, 0))
+
     # Demoted elements: one event-core run per distinct scenario, in
     # order of first appearance.  The key is everything the run reads
     # besides the batch-wide tables, calibration and budget.
@@ -655,18 +621,14 @@ def run_batch(spec: BatchSpec) -> BatchResult:
             e.status = "error"
             stats.errors += 1
             continue
-        # Its own shell: the records and the fault report are frozen
-        # and shared, the containers are not.
+        # Its own shell over the shared record table and fault report
+        # (both frozen); its latencies and messages are its own.
         e._result = replace(
-            run, messages=list(run.messages),
-            latencies=run.latencies.copy(),
-            engine_stats=PacketEngineStats(
+            run, engine_stats=PacketEngineStats(
                 engine="vector", fast_path=False, fallback=True,
                 conflicts=e._conflicts, messages=e._n_real,
                 packets=e._packets, events_saved=0))
     stats.fast_path = sum(1 for e in out if e.status == "fast")
-    stats.events_saved = sum(e._events_saved for e in out
-                             if e.status == "fast")
     return BatchResult(elements=out, stats=stats)
 
 
@@ -1029,6 +991,11 @@ def _run_chunk(spec: BatchSpec, limit: int | None,
         occ = (la_s[i0:i1], ea_s[i0:i1], xa_s[i0:i1])
         conflicts = _element_conflicts(*occ) if flagged[g] else 0
         lo, hi = int(offsets[g]), int(offsets[g + 1])
+        records = RecordTable(flat.src[lo:hi], flat.dst[lo:hi],
+                              flat.size[lo:hi], start[lo:hi],
+                              inject[lo:hi], finish[lo:hi])
+        fast_stats = _fast_stats(int(n_real[g]), int(packets[g]),
+                                 int(ev_saved[g]))
         for i in users:
             e = out[i]
             e._conflicts = conflicts
@@ -1046,16 +1013,11 @@ def _run_chunk(spec: BatchSpec, limit: int | None,
                     _demote(e, "fault", stats)
                     continue
 
-            # Fast element: views of its workload's results.
-            e._src = flat.src[lo:hi]
-            e._dst = flat.dst[lo:hi]
-            e._size = flat.size[lo:hi]
-            e._start = start[lo:hi]
-            e._inject = inject[lo:hi]
-            e._finish = finish[lo:hi]
-            e._makespan = float(makespan[g])
-            e._events_saved = int(ev_saved[g])
+            # Fast element: its workload's record table and statistics.
+            e._result = PacketResult(records, N, cal,
+                                     engine_stats=fast_stats)
             e._occ = occ
+            stats.events_saved += int(ev_saved[g])
 
 
 # ----------------------------------------------------------------------

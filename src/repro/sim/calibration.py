@@ -48,8 +48,8 @@ class LinkCalibration:
             if not 0 <= value < math.inf:
                 raise ValueError(
                     f"{field} must be non-negative and finite, got {value!r}")
-        if self.mtu < 1:
-            raise ValueError("mtu must be at least one byte")
+        if not (1 <= self.mtu < math.inf and float(self.mtu).is_integer()):
+            raise ValueError(f"mtu must be whole bytes >= 1, got {self.mtu!r}")
 
     @property
     def min_bandwidth(self) -> float:

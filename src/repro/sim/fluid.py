@@ -40,70 +40,33 @@ import numpy as np
 from ..fabric.lft import ForwardingTables
 from .calibration import LinkCalibration, QDR_PCIE_GEN2, link_capacities
 from .events import SimulationError
+from .records import RecordTable, RunResult, sequence_columns
 
-__all__ = ["FluidSimulator", "FluidResult", "MessageRecord"]
+__all__ = ["FluidSimulator", "FluidResult"]
 
 _EPS_BYTES = 1e-6
 _EPS_RATE = 1e-12
 
 
-@dataclass(frozen=True)
-class MessageRecord:
-    """Timing of one simulated message."""
-
-    src: int
-    dst: int
-    size: float
-    start: float      # overhead begins
-    inject: float     # transfer begins (overhead done)
-    finish: float     # last byte on the wire
-
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
-
-
 @dataclass
-class FluidResult:
-    """Outcome of a fluid run."""
+class FluidResult(RunResult):
+    """Outcome of a fluid run; barrier runs also report each stage's
+    duration."""
 
-    makespan: float
-    total_bytes: float
-    num_ports: int
-    active_ports: int
-    calibration: LinkCalibration
-    messages: list[MessageRecord] = field(default_factory=list)
     stage_times: list[float] = field(default_factory=list)
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        """Total delivered bytes per microsecond."""
-        return self.total_bytes / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def per_port_bandwidth(self) -> float:
-        return self.aggregate_bandwidth / max(self.active_ports, 1)
-
-    @property
-    def normalized_bandwidth(self) -> float:
-        """The paper's Figure-2 metric: effective bandwidth normalised to
-        the full host (PCIe) bandwidth."""
-        return self.per_port_bandwidth / self.calibration.host_bandwidth
 
 
 class _ActiveFlows:
-    """Struct-of-arrays active flow set with swap-remove."""
+    """Struct-of-arrays active flow set with swap-remove; each flow
+    carries its source port and its record-table row."""
 
     def __init__(self, max_hops: int):
         self.H = max_hops
         cap = 64
         self.port = np.empty(cap, dtype=np.int64)
-        self.dst = np.empty(cap, dtype=np.int64)
-        self.size = np.empty(cap)
+        self.row = np.empty(cap, dtype=np.int64)
         self.remaining = np.empty(cap)
         self.rate = np.zeros(cap)
-        self.start = np.empty(cap)
-        self.inject = np.empty(cap)
         self.links = np.full((cap, max_hops), -1, dtype=np.int64)
         self.n = 0
 
@@ -112,8 +75,7 @@ class _ActiveFlows:
 
     def _grow(self) -> None:
         cap = len(self.port) * 2
-        for name in ("port", "dst", "size", "remaining", "rate",
-                     "start", "inject"):
+        for name in ("port", "row", "remaining", "rate"):
             arr = getattr(self, name)
             new = np.empty(cap, dtype=arr.dtype)
             new[: self.n] = arr[: self.n]
@@ -122,36 +84,30 @@ class _ActiveFlows:
         links[: self.n] = self.links[: self.n]
         self.links = links
 
-    def add(self, port: int, dst: int, size: float, route: np.ndarray,
-            start: float, inject: float) -> None:
+    def add(self, port: int, row: int, size: float,
+            route: np.ndarray) -> None:
         if self.n == len(self.port):
             self._grow()
         i = self.n
         self.port[i] = port
-        self.dst[i] = dst
-        self.size[i] = size
+        self.row[i] = row
         self.remaining[i] = size
         self.rate[i] = 0.0
-        self.start[i] = start
-        self.inject[i] = inject
         self.links[i, :] = -1
         self.links[i, : len(route)] = route
         self.n += 1
 
-    def pop_finished(self) -> list[tuple[int, int, float, float, float]]:
-        """Remove flows with no bytes left; returns (port, dst, size,
-        start, inject) tuples (swap-remove keeps arrays compact)."""
+    def pop_finished(self) -> list[tuple[int, int]]:
+        """Remove flows with no bytes left; returns their (port, row)
+        pairs (swap-remove keeps arrays compact)."""
         out = []
         i = 0
         while i < self.n:
             if self.remaining[i] <= _EPS_BYTES:
-                out.append((int(self.port[i]), int(self.dst[i]),
-                            float(self.size[i]), float(self.start[i]),
-                            float(self.inject[i])))
+                out.append((int(self.port[i]), int(self.row[i])))
                 last = self.n - 1
                 if i != last:
-                    for name in ("port", "dst", "size", "remaining", "rate",
-                                 "start", "inject"):
+                    for name in ("port", "row", "remaining", "rate"):
                         getattr(self, name)[i] = getattr(self, name)[last]
                     self.links[i] = self.links[last]
                 self.n -= 1
@@ -180,13 +136,11 @@ class FluidSimulator:
         self,
         tables: ForwardingTables,
         calibration: LinkCalibration = QDR_PCIE_GEN2,
-        record_messages: bool = False,
         max_events: int = 20_000_000,
     ):
         self.tables = tables
         self.fabric = tables.fabric
         self.cal = calibration
-        self.record_messages = record_messages
         self.max_events = max_events
         self.capacity = link_capacities(self.fabric, calibration)
         self.max_hops = 2 * int(self.fabric.node_level.max()) + 2
@@ -234,28 +188,27 @@ class FluidSimulator:
             raise ValueError(
                 f"need one sequence per end-port ({N}), got {len(sequences)}"
             )
-        total_bytes = sum(size for seq in sequences for _, size in seq)
-        active_ports = sum(1 for seq in sequences if seq)
-        messages: list[MessageRecord] = []
-
+        src, dst, size = sequence_columns(sequences)
+        # start/inject/finish of every message, filled by table row;
+        # port p's k-th message is row first[p] + k.
+        times = np.zeros((3, len(src)))
+        first = np.searchsorted(src, np.arange(N)).tolist()
         if mode == "async":
-            makespan = self._run_async(sequences, messages)
+            self._run_async(sequences, first, times)
             stage_times: list[float] = []
         else:
-            makespan, stage_times = self._run_barrier(sequences, messages)
+            stage_times = self._run_barrier(sequences, first, times)
 
         return FluidResult(
-            makespan=makespan,
-            total_bytes=total_bytes,
+            records=RecordTable(src, dst, size, *times),
             num_ports=N,
-            active_ports=active_ports,
             calibration=self.cal,
-            messages=messages,
             stage_times=stage_times,
         )
 
     # ------------------------------------------------------------------
-    def _run_async(self, sequences, messages) -> float:
+    def _run_async(self, sequences, first, times) -> None:
+        start, inject, finish = times
         pending: list[tuple[float, int]] = []   # (transfer-ready time, port)
         pos = [0] * len(sequences)
         for p, seq in enumerate(sequences):
@@ -264,7 +217,6 @@ class FluidSimulator:
         active = _ActiveFlows(self.max_hops)
         now = 0.0
         events = 0
-        makespan = 0.0
 
         while pending or len(active):
             events += 1
@@ -281,26 +233,20 @@ class FluidSimulator:
                 while pending and pending[0][0] <= now + 1e-12:
                     _, p = heapq.heappop(pending)
                     dst, size = sequences[p][pos[p]]
-                    start = now - self.cal.host_overhead
+                    row = first[p] + pos[p]
+                    start[row] = now - self.cal.host_overhead
+                    inject[row] = now
                     if size <= _EPS_BYTES or p == dst:
-                        if self.record_messages:
-                            messages.append(MessageRecord(
-                                p, dst, size, start, now, now))
-                        makespan = max(makespan, now)
+                        finish[row] = now
                         self._next_message(p, pos, sequences, pending, now)
                     else:
-                        active.add(p, dst, size, self._route(p, dst),
-                                   start, now)
+                        active.add(p, row, size, self._route(p, dst))
             else:
                 active.advance(dt_done)
                 now += dt_done
-                for port, dst, size, start, inject in active.pop_finished():
-                    if self.record_messages:
-                        messages.append(MessageRecord(
-                            port, dst, size, start, inject, now))
-                    makespan = max(makespan, now)
+                for port, row in active.pop_finished():
+                    finish[row] = now
                     self._next_message(port, pos, sequences, pending, now)
-        return makespan
 
     def _next_message(self, p, pos, sequences, pending, now) -> None:
         pos[p] += 1
@@ -308,29 +254,32 @@ class FluidSimulator:
             heapq.heappush(pending, (now + self.cal.host_overhead, p))
 
     # ------------------------------------------------------------------
-    def _run_barrier(self, sequences, messages) -> tuple[float, list[float]]:
+    def _run_barrier(self, sequences, first, times) -> list[float]:
         num_stages = max((len(s) for s in sequences), default=0)
         now = 0.0
         stage_times = []
         for k in range(num_stages):
-            stage = [(p, seq[k]) for p, seq in enumerate(sequences)
-                     if k < len(seq)]
+            stage = [(p, first[p] + k, seq[k])
+                     for p, seq in enumerate(sequences) if k < len(seq)]
             t0 = now
-            now = t0 + self._stage_makespan(stage, t0, messages)
+            now = t0 + self._stage_makespan(stage, t0, times)
             stage_times.append(now - t0)
-        return now, stage_times
+        return stage_times
 
-    def _stage_makespan(self, stage, t0, messages) -> float:
+    def _stage_makespan(self, stage, t0, times) -> float:
+        """Duration of one non-empty barrier stage starting at ``t0``;
+        self and empty messages finish when their overhead does."""
+        start, inject, finish = times
         active = _ActiveFlows(self.max_hops)
         overhead = self.cal.host_overhead
-        any_message = False
-        for p, (dst, size) in stage:
-            any_message = True
+        for p, row, (dst, size) in stage:
+            start[row] = t0
+            inject[row] = finish[row] = t0 + overhead
             if size <= _EPS_BYTES or p == dst:
                 continue
-            active.add(p, dst, size, self._route(p, dst), t0, t0 + overhead)
+            active.add(p, row, size, self._route(p, dst))
         if not len(active):
-            return overhead if any_message else 0.0
+            return overhead
         now = overhead
         events = 0
         while len(active):
@@ -343,10 +292,8 @@ class FluidSimulator:
                 raise SimulationError("stage stalled")
             active.advance(dt)
             now += dt
-            for port, dst, size, start, inject in active.pop_finished():
-                if self.record_messages:
-                    messages.append(MessageRecord(
-                        port, dst, size, start, inject, t0 + now))
+            for _, row in active.pop_finished():
+                finish[row] = t0 + now
         return now
 
     # ------------------------------------------------------------------

@@ -11,12 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .calibration import LinkCalibration, link_capacities
+from .records import sequence_columns
 
 __all__ = [
     "ideal_sequence_time",
     "efficiency",
     "bandwidth_lower_bound",
-    "delivered_fraction",
     "link_byte_loads",
     "utilization_report",
     "zero_load_latencies",
@@ -64,10 +64,9 @@ def link_byte_loads(tables, sequences) -> np.ndarray:
 def _messages(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(src, dst, size)`` of every message that crosses the fabric
     (not to itself, not empty), by source port then sequence position."""
-    msgs = [(p, d, float(size)) for p, seq in enumerate(sequences)
-            for d, size in seq if d != p and size > 0]
-    arr = np.array(msgs, dtype=np.float64).reshape(-1, 3)
-    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+    src, dst, size = sequence_columns(sequences)
+    real = (src != dst) & (size > 0)
+    return src[real], dst[real], size[real]
 
 
 def utilization_report(tables, sequences, makespan: float,
@@ -123,21 +122,6 @@ def zero_load_latencies(
         + (hops - 1) * calibration.switch_latency
         + size / calibration.min_bandwidth
     )
-
-
-def delivered_fraction(records) -> float:
-    """Fraction of real messages a run actually delivered.
-
-    ``records`` is a :class:`~repro.sim.fluid.MessageRecord` list as
-    emitted by the packet engines; under a fault schedule lost messages
-    carry ``finish == -1``.  Self and zero-byte messages are excluded
-    (they never cross the fabric).  1.0 when there were no real
-    messages.
-    """
-    real = [m for m in records if m.size > 0 and m.src != m.dst]
-    if not real:
-        return 1.0
-    return sum(1 for m in real if m.finish >= 0) / len(real)
 
 
 def bandwidth_lower_bound(

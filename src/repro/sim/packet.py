@@ -30,7 +30,8 @@ bit-identical results:
   transmit completion), the semantic ground truth for differential
   testing.
 
-Every run's result comes from :meth:`PacketSimulator._finalize`.
+Every run's result is a :class:`PacketResult` over one
+:class:`~repro.sim.records.RecordTable`, whichever engine filled it.
 Without a fault schedule a lost message is an error: a packet routed
 into a cable the fabric lacks raises :class:`SimulationError` naming the
 message.  Under a schedule, losses are reported in
@@ -46,15 +47,13 @@ second and the same shift at n1944 in a few seconds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..fabric.lft import ForwardingTables
 from .calibration import LinkCalibration, QDR_PCIE_GEN2
 from .events import SimulationError
-from .fluid import MessageRecord
+from .records import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.controller import HealingController
@@ -81,41 +80,14 @@ class PacketEngineStats:
 
 
 @dataclass
-class PacketResult:
+class PacketResult(RunResult):
     """Outcome of a packet-level run."""
 
-    makespan: float
-    total_bytes: float
-    num_ports: int
-    active_ports: int
-    calibration: LinkCalibration
-    latencies: np.ndarray = field(default_factory=lambda: np.empty(0))
-    messages: list[MessageRecord] = field(default_factory=list)
     engine_stats: PacketEngineStats | None = None
     #: set when the event core ran under a fault schedule; lost
     #: messages then appear in ``messages`` with ``finish == -1`` and
     #: are excluded from ``latencies``/``makespan``/``total_bytes``.
     fault_report: "FaultRunReport | None" = None
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        return self.total_bytes / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def per_port_bandwidth(self) -> float:
-        return self.aggregate_bandwidth / max(self.active_ports, 1)
-
-    @property
-    def normalized_bandwidth(self) -> float:
-        return self.per_port_bandwidth / self.calibration.host_bandwidth
-
-    @property
-    def mean_latency(self) -> float:
-        return float(self.latencies.mean()) if len(self.latencies) else 0.0
-
-    @property
-    def max_latency(self) -> float:
-        return float(self.latencies.max()) if len(self.latencies) else 0.0
 
 
 class PacketSimulator:
@@ -149,34 +121,6 @@ class PacketSimulator:
         self.engine = engine
         self.faults = faults
         self.healing = healing
-
-    # -- shared helpers ----------------------------------------------------
-    def _finalize(
-        self,
-        records: list[MessageRecord],
-        sequences: list[list[tuple[int, float]]],
-        stats: PacketEngineStats,
-    ) -> PacketResult:
-        """Build a :class:`PacketResult` from canonically ordered records.
-
-        ``records`` must be sorted by (source port, sequence position) --
-        both engines emit this order, so metric arrays compare
-        element-wise across engines.  Lost messages (``finish == -1``)
-        count toward no metric.
-        """
-        done = [m for m in records if m.finish >= 0]
-        lat = np.asarray([m.finish - m.start for m in done
-                          if m.size > 0 and m.src != m.dst])
-        return PacketResult(
-            makespan=max((m.finish for m in done), default=0.0),
-            total_bytes=sum(m.size for m in done),
-            num_ports=self.fabric.num_endports,
-            active_ports=sum(1 for s in sequences if s),
-            calibration=self.cal,
-            latencies=lat,
-            messages=records,
-            engine_stats=stats,
-        )
 
     # -- public API -------------------------------------------------------
     def run_sequences(

@@ -25,8 +25,10 @@ from repro.faults.packetsim import FaultRunReport, LostMessage
 from repro.faults.schedule import FaultSchedule
 from repro.sim.calibration import link_capacities
 from repro.sim.events import EventQueue, SimulationError
-from repro.sim.fluid import MessageRecord
-from repro.sim.packet import PacketEngineStats, PacketResult
+from repro.sim.packet import PacketEngineStats
+from repro.sim.records import MessageRecord
+
+from .records_reference import ReferenceResult, finalize
 
 __all__ = ["run_faulty"]
 
@@ -69,10 +71,10 @@ def run_faulty(
     controller: HealingController | None = None,
     t0: float = 0.0,
     attempt: int = 0,
-) -> tuple[PacketResult, FaultRunReport]:
+) -> tuple[ReferenceResult, FaultRunReport]:
     """Run ``sequences`` under ``faults`` starting at global time ``t0``.
 
-    Returns the :class:`PacketResult` (lost messages appear in
+    Returns the :class:`ReferenceResult` (lost messages appear in
     ``messages`` with ``finish == -1``; latencies/makespan/bytes cover
     deliveries only) and the :class:`FaultRunReport`.  Engine-local
     time 0 corresponds to global time ``t0``.  On an empty schedule
@@ -417,7 +419,7 @@ def run_faulty(
         packets=sum(len(segment(m.size)) for m in real),
         events_saved=0,
     )
-    result = sim._finalize(records, sequences, stats)
+    result = finalize(sim, records, sequences, stats)
     report = FaultRunReport(
         t0=t0, end=t0 + result.makespan,
         total_messages=len(real),

@@ -67,7 +67,7 @@ class TestFluidLaws:
     @given(workloads())
     @settings(max_examples=25, deadline=None)
     def test_messages_ordered_per_port(self, seqs):
-        sim = FluidSimulator(TABLES, record_messages=True)
+        sim = FluidSimulator(TABLES)
         res = sim.run_sequences(seqs)
         by_port: dict[int, list] = {}
         for m in res.messages:

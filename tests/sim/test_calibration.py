@@ -55,6 +55,12 @@ def test_rejects_negative_or_non_finite_latencies(field, value):
         dataclasses.replace(QDR_PCIE_GEN2, **{field: value})
 
 
+@pytest.mark.parametrize("mtu", [0, -1, math.nan, math.inf, 2048.5])
+def test_rejects_bad_mtu(mtu):
+    with pytest.raises(ValueError, match="mtu"):
+        dataclasses.replace(QDR_PCIE_GEN2, mtu=mtu)
+
+
 def test_accepts_zero_latencies():
     cal = dataclasses.replace(QDR_PCIE_GEN2, switch_latency=0.0,
                               wire_latency=0.0, host_overhead=0.0)

@@ -17,7 +17,7 @@ from repro.topology import pgft
 
 @pytest.fixture
 def sim16(fig1_tables):
-    return FluidSimulator(fig1_tables, record_messages=True)
+    return FluidSimulator(fig1_tables)
 
 
 CAL = QDR_PCIE_GEN2
@@ -67,7 +67,7 @@ class TestSharing:
         # One link with 3 flows and another with 1: rates 1/3 and 2/3-ish.
         spec = pgft(2, [3, 3], [1, 3], [1, 1])
         tables = route_dmodk(build_fabric(spec))
-        sim = FluidSimulator(tables, record_messages=True)
+        sim = FluidSimulator(tables)
         seqs = [[] for _ in range(9)]
         # All three hosts of leaf 0 send to host 3 (one ejection port).
         for h in range(3):
