@@ -17,9 +17,9 @@ full wire speed and cut-through latency.
 Everything is vectorised around one link-load kernel: a block of flows
 is walked through the forwarding tables by the one route walk,
 :meth:`~repro.fabric.lft.ForwardingTables.walk`, and counted per
-``(key, link)`` cell with one ``bincount``.  Keys are stages, (stage,
-placement) pairs or traffic classes; a block holds whole stages, so a
-full CPS takes a few walks rather than one per stage.
+``(key, link)`` cell with one ``bincount``.  Keys are stages or (stage,
+placement) pairs; a block holds whole stages, so a full CPS takes a few
+walks rather than one per stage.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from ..fabric.lft import EntryRoutes, ForwardingTables, Routes, _raise_earliest
 __all__ = [
     "walk_flow_links",
     "stage_link_loads",
-    "stage_class_link_loads",
     "stage_max_hsd",
     "sequence_hsd",
     "HSDReport",
@@ -96,35 +95,6 @@ def stage_link_loads(
     return loads[0]
 
 
-def stage_class_link_loads(
-    tables: ForwardingTables,
-    src: np.ndarray,
-    dst: np.ndarray,
-    flow_class: np.ndarray,
-    num_classes: int | None = None,
-) -> np.ndarray:
-    """Per-traffic-class flows per directed link for one stage.
-
-    ``flow_class[i]`` is the class index of flow ``i``; the result has
-    shape ``(num_classes, num_ports)`` and sums over classes to
-    :func:`stage_link_loads`.  One table walk serves every class: the
-    class is the link-load kernel's key.  This is the dynamic
-    (table-walking) side of the isolation analyzer's per-class
-    accounting; the symbolic side never touches tables at all.
-    """
-    flow_class = np.asarray(flow_class, dtype=np.int64)
-    src = np.asarray(src, dtype=np.int64)
-    if flow_class.shape != src.shape:
-        raise ValueError("flow_class/src shape mismatch")
-    C = int(num_classes) if num_classes is not None \
-        else int(flow_class.max()) + 1 if len(flow_class) else 1
-    if len(flow_class) and (flow_class.min() < 0 or flow_class.max() >= C):
-        raise ValueError("flow_class references a class index out of range")
-    loads, routes, _, _ = _count_links(tables, src, dst, flow_class, C)
-    routes.raise_fault()
-    return loads
-
-
 def stage_max_hsd(
     tables: ForwardingTables,
     src: np.ndarray,
@@ -163,6 +133,21 @@ class _Block(NamedTuple):
             raise ValueError(self.fault[1])
 
 
+def _stage_fault(routes: Routes, stage: np.ndarray) -> tuple[int, str] | None:
+    """The first stage with a faulty route among stage-tagged walked
+    flows, and the error a walk of that stage's flows alone raises
+    (:meth:`Routes.raise_fault`, flows named by position in the stage)."""
+    fault = None
+    if len(bad := np.flatnonzero(routes.fault)):
+        s = int(stage[bad].min())
+        rows_s = np.flatnonzero(stage == s)
+        try:
+            _raise_earliest(routes.fault[rows_s], routes.length[rows_s])
+        except ValueError as exc:
+            fault = s, str(exc)
+    return fault
+
+
 def _walk_block(tables: ForwardingTables, placements: np.ndarray,
                 pairs: np.ndarray, pair_stage: np.ndarray, lo: int,
                 num_stages: int, keep_walk: bool) -> _Block:
@@ -174,14 +159,9 @@ def _walk_block(tables: ForwardingTables, placements: np.ndarray,
     num_keys = num_stages * num_orders
     loads, routes, rows, gports = _count_links(tables, src, dst, key, num_keys)
     stage = key // max(1, num_orders)
-    fault = None
-    if len(bad := np.flatnonzero(routes.fault)):
-        s = int(stage[bad].min())
-        rows_s = np.flatnonzero(stage == s)  # named by position in stage s
-        try:
-            _raise_earliest(routes.fault[rows_s], routes.length[rows_s])
-        except ValueError as exc:
-            fault = lo + s, str(exc)
+    fault = _stage_fault(routes, stage)
+    if fault is not None:
+        fault = lo + fault[0], fault[1]
     return _Block(
         lo, np.bincount(key, minlength=num_keys).reshape(num_stages, -1),
         loads.reshape(num_stages, num_orders, tables.fabric.num_ports),

@@ -78,9 +78,7 @@ from .symbolic import (
     SymbolicContentionPass,
     SymbolicResult,
     canonical_peer,
-    symbolic_class_loads,
     symbolic_flow_links,
-    symbolic_stage_max,
 )
 from .wiring import SpecConformancePass, WiringLintPass
 
@@ -138,9 +136,7 @@ __all__ = [
     "sample_fault_combos",
     "sample_pairs",
     "sweep_fault_space",
-    "symbolic_class_loads",
     "symbolic_flow_links",
-    "symbolic_stage_max",
     "up_port_spread",
 ]
 

@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..collectives import by_name, hierarchical_recursive_doubling, shift
+from ..collectives import by_name, hierarchical_recursive_doubling, sampled_shift
 from ..collectives.cps import CPS
 from ..fabric import build_fabric, parse_types
 from ..fabric.lft import ForwardingTables
@@ -90,6 +90,17 @@ __all__ = ["main"]
 
 ROUTERS = ("dmodk", "typeaware", "random", "minhop", "ftree", "none")
 ORDERS = ("topology", "reversed", "random", "adversarial")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_spec(text: str) -> PGFTSpec:
@@ -153,13 +164,6 @@ def _make_active(fabric: Fabric,
                            seed=args.exclude_seed)
 
 
-def _sampled_shift(n: int, max_stages: int) -> CPS:
-    if n - 1 <= max_stages:
-        return shift(n)
-    step = (n - 1) // max_stages
-    return shift(n, displacements=range(1, n, step))
-
-
 def _make_cps(name: str, fabric: Fabric, args: argparse.Namespace,
               num_ranks: int | None = None) -> CPS:
     n = num_ranks if num_ranks is not None else fabric.num_endports
@@ -168,7 +172,7 @@ def _make_cps(name: str, fabric: Fabric, args: argparse.Namespace,
             raise SystemExit("recdbl-hier needs a PGFT spec")
         return hierarchical_recursive_doubling(fabric.spec)
     if name == "shift":
-        return _sampled_shift(n, args.max_shift_stages)
+        return sampled_shift(n, args.max_shift_stages)
     try:
         return by_name(name, n)
     except ValueError as exc:
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--order", choices=ORDERS, default="topology",
                        help="rank placement (default: %(default)s)")
     sched.add_argument("--order-seed", type=int, default=0)
-    sched.add_argument("--max-shift-stages", type=int, default=64,
+    sched.add_argument("--max-shift-stages", type=_positive_int, default=64,
                        help="sample the Shift CPS down to this many stages")
     sched.add_argument("--exclude", type=int, default=0, metavar="K",
                        help="Cont.-K: exclude K random end-ports and "

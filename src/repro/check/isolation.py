@@ -10,12 +10,14 @@ step on another's links?
 This pass answers both questions statically.  For every traffic class
 ``c`` of the fabric's :class:`~repro.fabric.nodetypes.NodeTypeMap` it
 builds the class's own constant-displacement schedule (ranks = the
-class's active members, in fabric order) and accounts flows per class
-and per directed link -- through
-:func:`~repro.check.symbolic.symbolic_class_loads` (eq. (1) closed
-form, no tables, the engine that scales to 27k+ end-ports) or
-:func:`~repro.analysis.hsd.stage_class_link_loads` (a table walk, for
-arbitrary routing engines).  From one pass over the aligned stages it
+class's active members, in fabric order).  Stage ``k`` of every class
+runs at once.  Every class's flows of the whole case are walked once,
+in stage-aligned blocks -- by
+:func:`~repro.check.symbolic.symbolic_flow_links` (eq. (1) closed form,
+no tables, the engine that scales to 27k+ end-ports) or
+:func:`~repro.analysis.hsd.walk_flow_links`'s table walk (for arbitrary
+routing engines) -- and counted into sparse ``(stage, link, class)``
+cells; verdicts and bounds are array reductions over them.  The pass
 derives:
 
 * a **per-class contention verdict**: class ``c`` is contention-free
@@ -45,14 +47,14 @@ and the interference matrix; the machine-readable result lands in the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..analysis.hsd import stage_class_link_loads, walk_flow_links
-from ..collectives import by_name, shift
+from ..analysis.hsd import _stage_fault, walk_flow_links
+from ..collectives import by_name, sampled_shift
 from ..collectives.cps import CPS
-from ..collectives.schedule import stage_flows
+from ..collectives.schedule import case_flows
 from ..fabric.lft import ForwardingTables
 from ..fabric.nodetypes import NodeTypeMap
 from ..routing.dmodk import dense_ranks
@@ -71,7 +73,12 @@ from .common import colliding_pairs_payload, link_loc
 from .diagnostics import Diagnostic, DiagnosticReport, Loc
 from .faultspace import enumerate_fault_units
 from .passes import CheckContext, CheckPass
-from .symbolic import symbolic_class_loads, symbolic_flow_links, symbolic_link_loc
+from .symbolic import (
+    _sparse_loads,
+    _stage_blocks,
+    symbolic_flow_links,
+    symbolic_link_loc,
+)
 
 __all__ = [
     "ISOLATION_ENGINES",
@@ -97,13 +104,6 @@ class ClassSchedule:
     cps: CPS
 
 
-def _sampled_shift(n: int, max_stages: int) -> CPS:
-    if n - 1 <= max_stages:
-        return shift(n)
-    step = (n - 1) // max_stages
-    return shift(n, displacements=range(1, n, step))
-
-
 def build_class_schedules(types: NodeTypeMap,
                           active: np.ndarray | None = None,
                           cps_name: str = "shift",
@@ -124,7 +124,7 @@ def build_class_schedules(types: NodeTypeMap,
         if len(ports) < 2:
             continue
         if cps_name == "shift":
-            cps = _sampled_shift(len(ports), max_stages)
+            cps = sampled_shift(len(ports), max_stages)
         else:
             cps = by_name(cps_name, len(ports))
         out.append(ClassSchedule(name=name, cls=ci, ports=ports, cps=cps))
@@ -151,43 +151,99 @@ def routing_ranks(routing_name: str, num_endports: int,
     return None, False
 
 
-def _stage_flows_at(schedules: list[ClassSchedule], k: int,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aligned stage ``k`` of every class, concatenated:
-    ``(src, dst, flow_class)`` over end-ports."""
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    fcs: list[np.ndarray] = []
-    for cs in schedules:
-        if k >= len(cs.cps.stages):
-            continue
-        src, dst = stage_flows(cs.cps.stages[k], cs.ports)
-        if not len(src):
-            continue
-        srcs.append(src)
-        dsts.append(dst)
-        fcs.append(np.full(len(src), cs.cls, dtype=np.int64))
-    if not srcs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(fcs)
+class _ClassFlows(NamedTuple):
+    """Every class's flows of the whole case, stage-major: stage ``k``
+    holds each class's stage-``k`` flows, class after class in schedule
+    order."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    stage: np.ndarray
+    cls: np.ndarray
 
 
-def _class_loads(engine: str, spec: PGFTSpec | None,
-                 tables: ForwardingTables | None,
-                 src: np.ndarray, dst: np.ndarray, fc: np.ndarray,
-                 num_classes: int, ridx: np.ndarray | None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse per-class link loads of one aligned stage, via the
-    selected engine: ``(links, loads)`` with ``loads[c, k]`` the
-    class-``c`` flow count on ``links[k]``."""
-    if engine == "symbolic":
-        assert spec is not None
-        return symbolic_class_loads(spec, src, dst, fc, num_classes, ridx)
-    assert tables is not None
-    dense = stage_class_link_loads(tables, src, dst, fc, num_classes)
-    links = np.flatnonzero(dense.sum(axis=0))
-    return links, dense[:, links]
+def _class_flows(schedules: list[ClassSchedule]) -> _ClassFlows:
+    parts = [case_flows(cs.cps, cs.ports) for cs in schedules]
+    cols = [np.concatenate([p[i] for p in parts] + [np.empty(0, np.int64)])
+            for i in range(3)]
+    cols.append(np.repeat([cs.cls for cs in schedules],
+                          [len(p[0]) for p in parts]).astype(np.int64))
+    del parts   # free the per-class columns before the sorted copies
+    order = np.argsort(cols[2], kind="stable")
+    return _ClassFlows(*(col[order] for col in cols))
+
+
+class _ClassLoads(NamedTuple):
+    """Per-class link loads of a whole case.  ``refuted`` maps each
+    class some link carries two of to ``(stage, load, gport)``: its
+    first such stage, its worst load there and the lowest link at it.
+    ``fault`` is the error of the first stage with a faulty route;
+    counting stops before that stage."""
+
+    worst: np.ndarray       # (C,) worst per-class link load
+    inter: np.ndarray       # (C, C) interference matrix
+    combined: int           # worst link load over all classes
+    refuted: dict[int, tuple[int, int, int]]
+    fault: str | None
+
+
+def _count_classes(flows: _ClassFlows, num_classes: int,
+                   spec: PGFTSpec | None, ridx: np.ndarray | None,
+                   tables: ForwardingTables | None) -> _ClassLoads:
+    """Walk the case once in stage-aligned blocks -- by the closed form
+    over ``ridx`` when ``tables`` is None, else through the tables (a
+    fault named by :func:`~repro.analysis.hsd._stage_fault`) -- and count
+    the crossed links per sparse ``(stage, link, class)`` cell.  A
+    block's cells are sorted by link, so one column of ``load`` per
+    ``(stage, link)`` holds every class's count on it, and every
+    statistic is a reduction over those columns, folded across
+    blocks."""
+    C = num_classes
+    worst = np.zeros(C, dtype=np.int64)
+    inter = np.zeros((C, C), dtype=np.int64)
+    combined = 0
+    refuted: dict[int, tuple[int, int, int]] = {}
+    fault: str | None = None
+    for lo, hi in _stage_blocks(flows.stage):
+        src, dst = flows.src[lo:hi], flows.dst[lo:hi]
+        stage = flows.stage[lo:hi]
+        stage_fault = None
+        if tables is None:
+            assert spec is not None
+            fi, gp = symbolic_flow_links(spec, src, dst, ridx)
+        else:
+            routes = tables.flow_routes(src, dst)
+            fi, gp = routes.flat()
+            stage_fault = _stage_fault(routes, stage)
+        if stage_fault is not None:
+            keep = stage[fi] < stage_fault[0]
+            fi, gp, fault = fi[keep], gp[keep], stage_fault[1]
+        P = int(gp.max()) + 1 if len(gp) else 1
+        keys, counts = _sparse_loads(
+            (stage[fi] * P + gp) * C + flows.cls[lo:hi][fi])
+        if len(keys):
+            link = keys // C                    # stage * P + gport
+            head = np.r_[True, link[1:] != link[:-1]]
+            links = link[head]
+            load = np.zeros((C, len(links)), dtype=np.int64)
+            load[keys % C, np.cumsum(head) - 1] = counts
+            block_worst = load.max(axis=1)
+            worst = np.maximum(worst, block_worst)
+            combined = max(combined, int(load.sum(axis=0).max()))
+            for a in np.flatnonzero(block_worst):
+                inter[a] = np.maximum(inter[a],
+                                      load[:, load[a] >= 1].max(axis=1))
+            for c in np.flatnonzero(block_worst > 1).tolist():
+                if c in refuted:
+                    continue
+                k = int(links[np.argmax(load[c] > 1)] // P)
+                at_k = links // P == k
+                peak = int(load[c, at_k].max())
+                gport = int(links[np.argmax(at_k & (load[c] == peak))] % P)
+                refuted[c] = (k, peak, gport)
+        if fault is not None:
+            break
+    return _ClassLoads(worst, inter, combined, refuted, fault)
 
 
 class IsolationPass(CheckPass):
@@ -340,52 +396,35 @@ class IsolationPass(CheckPass):
                  ridx: np.ndarray | None, report: DiagnosticReport,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int,
                             dict[int, dict[str, Any]]]:
-        """One pass over the aligned stages: per-class worst link loads,
-        flow counts, the interference matrix, the combined worst load,
-        and the first counterexample per refuted class (``ISO001``)."""
+        """One count of the whole case: per-class worst link loads, flow
+        counts, the interference matrix, the combined worst load, and
+        the first counterexample per refuted class (``ISO001``, in
+        stage order)."""
         C = types.num_types
-        worst = np.zeros(C, dtype=np.int64)
-        flows = np.zeros(C, dtype=np.int64)
-        inter = np.zeros((C, C), dtype=np.int64)
-        combined = 0
-        violations: dict[int, dict[str, Any]] = {}
-        num_stages = max((len(cs.cps.stages) for cs in schedules), default=0)
-        for k in range(num_stages):
-            src, dst, fc = _stage_flows_at(schedules, k)
-            if not len(src):
-                continue
-            flows += np.bincount(fc, minlength=C)
-            links, loads = _class_loads(engine, spec, ctx.tables, src, dst,
-                                        fc, C, ridx)
-            if not len(links):
-                continue
-            combined = max(combined, int(loads.sum(axis=0).max()))
-            stage_worst = loads.max(axis=1)
-            worst = np.maximum(worst, stage_worst)
-            for a in range(C):
-                occupied = loads[a] >= 1
-                if occupied.any():
-                    inter[a] = np.maximum(inter[a],
-                                          loads[:, occupied].max(axis=1))
-            for c in np.flatnonzero(stage_worst > 1):
-                if int(c) in violations:
-                    continue
-                violations[int(c)] = self._violation(
-                    ctx, engine, spec, types, int(c), k, src, dst, fc,
-                    links, loads, ridx, report)
-        return worst, flows, inter, combined, violations
+        flows = _class_flows(schedules)
+        tables = ctx.tables if engine == "enumerate" else None
+        loads = _count_classes(flows, C, spec, ridx, tables)
+        violations = {
+            c: self._violation(ctx, engine, spec, types, c, *loads.refuted[c],
+                               flows, ridx, report)
+            for c in sorted(loads.refuted,
+                            key=lambda c: (loads.refuted[c][0], c))}
+        if loads.fault is not None:
+            raise ValueError(loads.fault)
+        return (loads.worst, np.bincount(flows.cls, minlength=C), loads.inter,
+                loads.combined, violations)
 
     def _violation(self, ctx: CheckContext, engine: str,
                    spec: PGFTSpec | None, types: NodeTypeMap, c: int,
-                   stage: int, src: np.ndarray, dst: np.ndarray,
-                   fc: np.ndarray, links: np.ndarray, loads: np.ndarray,
+                   stage: int, load: int, gp: int, flows: _ClassFlows,
                    ridx: np.ndarray | None, report: DiagnosticReport,
                    ) -> dict[str, Any]:
         """Emit ``ISO001`` with the class's first counterexample: the
-        lowest-id link at the class's maximum load, plus the colliding
-        same-class pairs."""
-        load = int(loads[c].max())
-        gp = int(links[loads[c] == load].min())
+        lowest-id link at the class's maximum load in its first refuted
+        stage, plus the colliding same-class pairs (one walk of that
+        stage)."""
+        lo, hi = np.searchsorted(flows.stage, [stage, stage + 1])
+        src, dst, fc = flows.src[lo:hi], flows.dst[lo:hi], flows.cls[lo:hi]
         if engine == "symbolic":
             assert spec is not None
             flow_idx, gports = symbolic_flow_links(spec, src, dst, ridx)
@@ -554,7 +593,7 @@ class IsolationPass(CheckPass):
         used = np.unique(np.concatenate([cs.ports for cs in schedules])) \
             if schedules else np.empty(0, dtype=np.int64)
         C = types.num_types
-        num_stages = max((len(cs.cps.stages) for cs in schedules), default=0)
+        flows = _class_flows(schedules)
         out: list[dict[str, Any]] = []
         for ui in take:
             unit = units[int(ui)]
@@ -567,13 +606,10 @@ class IsolationPass(CheckPass):
                 out.append({"fault": unit.label, "verdict": "disconnected",
                             "lost": [int(x) for x in lost]})
                 continue
-            dworst = np.zeros(C, dtype=np.int64)
-            for k in range(num_stages):
-                src, dst, fc = _stage_flows_at(schedules, k)
-                if not len(src):
-                    continue
-                dense = stage_class_link_loads(rep.tables, src, dst, fc, C)
-                dworst = np.maximum(dworst, dense.max(axis=1))
+            loads = _count_classes(flows, C, None, None, rep.tables)
+            if loads.fault is not None:
+                raise ValueError(loads.fault)
+            dworst = loads.worst
             regressed = [cs for cs in schedules
                          if dworst[cs.cls] > max(int(healthy[cs.cls]), 1)]
             out.append({

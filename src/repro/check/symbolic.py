@@ -74,8 +74,6 @@ from .passes import CheckContext, CheckPass
 __all__ = [
     "split_levels",
     "symbolic_flow_links",
-    "symbolic_class_loads",
-    "symbolic_stage_max",
     "decode_link",
     "symbolic_link_loc",
     "canonical_peer",
@@ -190,53 +188,6 @@ def _sparse_loads(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(starts) == len(s):   # all distinct: the contention-free case
         return s, np.ones(len(s), dtype=np.int64)
     return s[starts], np.diff(starts, append=len(s))
-
-
-def symbolic_class_loads(
-    spec: PGFTSpec, src: np.ndarray, dst: np.ndarray,
-    flow_class: np.ndarray, num_classes: int | None = None,
-    ridx: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-traffic-class sparse link loads of one stage, from eq. (1).
-
-    :func:`symbolic_flow_links` partitioned by traffic class:
-    ``flow_class[i]`` is the class of flow ``i``, and the result is
-    ``(links, loads)`` where ``links`` lists the distinct global port
-    ids any flow traverses (sorted) and ``loads[c, k]`` counts class-
-    ``c`` flows crossing ``links[k]``.  Summing over classes recovers
-    :func:`_sparse_loads` of the unpartitioned stage.  This is what
-    lets the isolation analyzer *statically* prove per-class
-    contention-freedom (``loads[c].max() <= 1`` for class ``c``'s own
-    collective) and read off cross-class interference (class-``b`` load
-    on links where class ``a`` is present) without tables or
-    simulation.
-    """
-    flow_class = np.asarray(flow_class, dtype=np.int64)
-    src = np.asarray(src, dtype=np.int64)
-    if flow_class.shape != src.shape:
-        raise ValueError("flow_class/src shape mismatch")
-    C = int(num_classes) if num_classes is not None \
-        else int(flow_class.max()) + 1 if len(flow_class) else 1
-    if len(flow_class) and (flow_class.min() < 0 or flow_class.max() >= C):
-        raise ValueError("flow_class references a class index out of range")
-    flow_idx, gports = symbolic_flow_links(spec, src, dst, ridx)
-    links = _sparse_loads(gports)[0]
-    if len(links) == 0:
-        return links, np.zeros((C, 0), dtype=np.int64)
-    col = np.searchsorted(links, gports)
-    keys = flow_class[flow_idx] * len(links) + col
-    loads = np.bincount(keys, minlength=C * len(links)).reshape(C, len(links))
-    return links, loads
-
-
-def symbolic_stage_max(spec: PGFTSpec, src: np.ndarray, dst: np.ndarray,
-                       ridx: np.ndarray | None = None) -> int:
-    """Maximum per-link flow count of one synchronous stage, from the
-    closed form (equals :func:`repro.analysis.hsd.stage_max_hsd` on
-    canonical D-Mod-K tables)."""
-    _, gports = symbolic_flow_links(spec, src, dst, ridx)
-    _, counts = _sparse_loads(gports)
-    return int(counts.max()) if len(counts) else 0
 
 
 # ----------------------------------------------------------------------
@@ -418,15 +369,22 @@ def _concat(parts: Iterable[_Pair]) -> _Pair:
             np.concatenate([b for _, b in items]))
 
 
-def _case_links(spec: PGFTSpec, src: np.ndarray, dst: np.ndarray,
-                stage: np.ndarray, ridx: np.ndarray) -> Iterator[_Pair]:
-    """Lazy :func:`symbolic_flow_links` of stage-major flows, one
-    ``(flow_idx, gports)`` pair per stage-aligned ``~_BLOCK``-flow block."""
+def _stage_blocks(stage: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``[lo, hi)`` slices of stage-major flows, cut only between stages:
+    each starts at the first stage boundary at or after a multiple of
+    :data:`_BLOCK` flows."""
     F = len(stage)
     bounds = np.r_[np.flatnonzero(np.r_[True, stage[1:] != stage[:-1]]), F]
     cuts = _sparse_loads(np.r_[
         bounds[np.searchsorted(bounds, np.arange(0, F, _BLOCK))], F])[0]
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+    return zip(cuts[:-1].tolist(), cuts[1:].tolist())
+
+
+def _case_links(spec: PGFTSpec, src: np.ndarray, dst: np.ndarray,
+                stage: np.ndarray, ridx: np.ndarray) -> Iterator[_Pair]:
+    """Lazy :func:`symbolic_flow_links` of stage-major flows, one
+    ``(flow_idx, gports)`` pair per :func:`_stage_blocks` block."""
+    for lo, hi in _stage_blocks(stage):
         fi, gp = symbolic_flow_links(spec, src[lo:hi], dst[lo:hi], ridx)
         yield fi + lo, gp
 

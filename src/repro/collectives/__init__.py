@@ -43,6 +43,7 @@ from .cps import (
     recursive_doubling,
     recursive_halving,
     ring,
+    sampled_shift,
     shift,
     tournament,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "render_matrix",
     "ring",
     "run_dataflow",
+    "sampled_shift",
     "scatter_allgather_bcast",
     "shift",
     "stage_displacements",

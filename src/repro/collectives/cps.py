@@ -32,6 +32,7 @@ __all__ = [
     "Stage",
     "CPS",
     "shift",
+    "sampled_shift",
     "ring",
     "binomial",
     "tournament",
@@ -143,6 +144,18 @@ def shift(n: int, displacements: range | None = None) -> CPS:
         Stage(_pairs(i, (i + s) % n), label=f"s={s}") for s in disp
     )
     return CPS("shift", n, stages)
+
+
+def sampled_shift(n: int, max_stages: int = 64) -> CPS:
+    """Shift CPS sampled down for large fabrics: every displacement when
+    ``n - 1 <= max_stages``, else displacements ``1, 1 + step, ...`` at
+    the uniform stride ``step = (n - 1) // max_stages`` (keeps sweeps
+    tractable without biasing the per-stage HSD statistics)."""
+    if max_stages < 1:
+        raise ValueError(f"max_stages must be >= 1, got {max_stages}")
+    if n - 1 <= max_stages:
+        return shift(n)
+    return shift(n, displacements=range(1, n, (n - 1) // max_stages))
 
 
 def ring(n: int, repeats: int = 1) -> CPS:

@@ -18,7 +18,7 @@ from ..collectives import (
     dissemination,
     recursive_doubling,
     ring,
-    shift,
+    sampled_shift,
     tournament,
 )
 from ..collectives.cps import CPS, Stage
@@ -50,16 +50,6 @@ def get_topology(name: str) -> PGFTSpec:
             f"unknown topology {name!r}; available: {', '.join(sorted(topos))}"
         )
     return topos[name]
-
-
-def sampled_shift(n: int, max_stages: int = 64):
-    """Shift CPS with at most ``max_stages`` evenly sampled displacements
-    (the full sequence has ``n-1`` stages; sampling keeps large-fabric
-    sweeps tractable without biasing the per-stage HSD statistics)."""
-    if n - 1 <= max_stages:
-        return shift(n)
-    step = (n - 1) // max_stages
-    return shift(n, displacements=range(1, n, step))
 
 
 def concurrent_cps(jobs) -> tuple[CPS, np.ndarray]:

@@ -35,7 +35,7 @@ import numpy as np
 from ..check import CheckContext, ScheduleCase, SymbolicCertifier, run_check
 from ..check.certify import placement_digest
 from ..check.symbolic import CERTIFICATE_VERSION, CaseState
-from ..collectives import by_name, shift
+from ..collectives import by_name, sampled_shift
 from ..collectives.cps import CPS
 from ..fabric import build_fabric
 from ..ordering import topology_order, topology_subset
@@ -56,18 +56,9 @@ TEST_CRASH_EXIT = 17
 # ----------------------------------------------------------------------
 # Request execution (runs inside the worker process)
 # ----------------------------------------------------------------------
-def _sampled_shift(n: int, max_stages: int) -> CPS:
-    """The CLI's shift sampling: every displacement up to ``max_stages``
-    stages, then a uniform stride -- same schedule, same digest."""
-    if n - 1 <= max_stages:
-        return shift(n)
-    step = (n - 1) // max_stages
-    return shift(n, displacements=range(1, n, step))
-
-
 def _make_cps(req: CertRequest, num_ranks: int) -> CPS:
     if req.cps == "shift":
-        return _sampled_shift(num_ranks, req.max_stages)
+        return sampled_shift(num_ranks, req.max_stages)
     return by_name(req.cps, num_ranks)
 
 

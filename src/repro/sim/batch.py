@@ -184,16 +184,6 @@ class ScenarioSpec:
                 and self.faults is None:
             raise ValueError("healing/sweep_delay given without faults")
 
-    @classmethod
-    def from_sequences(cls, sequences, **kw) -> "ScenarioSpec":
-        return cls(sequences=sequences, **kw)
-
-    @classmethod
-    def from_arrays(cls, dst, size, nmsg, **kw) -> "ScenarioSpec":
-        return cls(dst=np.asarray(dst, dtype=np.int64),
-                   size=np.asarray(size, dtype=np.float64),
-                   nmsg=np.asarray(nmsg, dtype=np.int64), **kw)
-
     def materialize_sequences(
         self, num_endports: int
     ) -> list[list[tuple[int, float]]]:

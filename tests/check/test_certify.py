@@ -9,6 +9,7 @@ from repro.check import (
     placement_digest,
     run_check,
 )
+from repro.check.cli import main as check_main
 from repro.collectives.cps import dissemination, ring, shift
 from repro.fabric import build_fabric
 from repro.ordering import random_order, topology_order
@@ -154,3 +155,15 @@ def test_placement_digest_distinguishes_orders():
     b = placement_digest(topology_order(n)[::-1].copy())
     assert a != b
     assert a == placement_digest(topology_order(n))
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_rejects_non_positive_shift_budget(budget, capsys):
+    """A usage error, not a ``ZeroDivisionError`` or a zero-stage shift."""
+    with pytest.raises(SystemExit) as exc:
+        check_main(["--topo", "n324", "--cps", "shift",
+                    "--max-shift-stages", budget])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"--max-shift-stages: must be >= 1, got {budget}" in err

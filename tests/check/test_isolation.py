@@ -13,18 +13,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.hsd import stage_class_link_loads
 from repro.check import (
     CheckContext,
     IsolationPass,
-    build_class_schedules,
     routing_ranks,
     run_check,
-    symbolic_class_loads,
 )
 from repro.check.cli import main as check_main
 from repro.check.isolation import ISOLATION_ENGINES
-from repro.collectives.schedule import stage_flows
 from repro.fabric import NodeTypeMap, build_fabric
 from repro.fabric.topofile import save as save_topo
 from repro.routing import route_dmodk, route_typeaware, typed_ranks
@@ -119,22 +115,6 @@ class TestEngineAgreement:
         assert s["cross_class_bound"] == e["cross_class_bound"]
         assert s["max_combined_load"] == e["max_combined_load"]
         assert sym.exit_code() == enum.exit_code()
-
-    def test_symbolic_class_loads_match_dense_walk(self):
-        fab = _typed_fabric(RLFT16, {"storage": 1})
-        types = fab.node_types
-        tables = route_typeaware(fab)
-        ridx, known = routing_ranks("typeaware", RLFT16.num_endports, types)
-        assert known
-        cs = build_class_schedules(types)[0]
-        src, dst = stage_flows(cs.cps.stages[0], cs.ports)
-        fc = types.type_of[src]
-        C = len(types.type_names)
-        links, loads = symbolic_class_loads(RLFT16, src, dst, fc,
-                                            num_classes=C, ridx=ridx)
-        dense = stage_class_link_loads(tables, src, dst, fc, num_classes=C)
-        assert np.array_equal(loads.sum(axis=1), dense.sum(axis=1))
-        assert np.array_equal(loads, dense[:, links])
 
     def test_auto_prefers_symbolic_then_enumerate(self):
         fab = _typed_fabric(RLFT16, {"storage": 1})

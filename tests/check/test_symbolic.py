@@ -18,7 +18,6 @@ from repro.check import (
     canonical_peer,
     run_check,
     symbolic_flow_links,
-    symbolic_stage_max,
 )
 from repro.check.symbolic import EngineAgreementPass, decode_link
 from repro.collectives.cps import (
@@ -223,14 +222,6 @@ def test_engines_agree_contx_partial_population(topo, excl):
     for c in result.certificates:
         by_kind[c["certificate_kind"]].add(c["case"])
     assert by_kind["enumerated"] == by_kind["symbolic"]
-
-
-def test_symbolic_stage_max_helper():
-    spec = TOPOLOGIES["rlft2"]
-    n = spec.num_endports
-    i = np.arange(n, dtype=np.int64)
-    assert symbolic_stage_max(spec, i, (i + 1) % n) == 1
-    assert symbolic_stage_max(spec, i, i) == 0   # all dropped
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import pytest
 
+import repro.collectives
+from repro.collectives import shift
 from repro.experiments.common import (
     figure3_cps_factories,
     get_topology,
     sampled_shift,
 )
+from repro.runtime.cache import cps_digest
 
 
 class TestGetTopology:
@@ -30,6 +33,21 @@ class TestSampledShift:
         disp = [int((st.destinations[0] - st.sources[0]) % 1944)
                 for st in cps]
         assert len(set(disp)) == len(disp)
+
+    def test_one_implementation(self):
+        assert sampled_shift is repro.collectives.sampled_shift
+
+    def test_stride_schedule_unchanged(self):
+        for n, budget in [(324, 64), (1944, 24), (100, 64), (65, 64)]:
+            step = (n - 1) // budget
+            want = shift(n, displacements=range(1, n, step))
+            got = sampled_shift(n, budget)
+            assert cps_digest(got) == cps_digest(want)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_rejects_non_positive_budget(self, budget):
+        with pytest.raises(ValueError, match="max_stages must be >= 1"):
+            sampled_shift(324, budget)
 
 
 class TestFigure3Factories:

@@ -1,7 +1,7 @@
 """The link-load kernel against its stage-by-stage reference.
 
 Every table-side flows-per-link count -- ``stage_link_loads``,
-``stage_class_link_loads``, ``stage_max_hsd``, ``sequence_hsd``,
+``stage_max_hsd``, ``sequence_hsd``,
 ``batched_sequence_hsd``, ``sequence_level_profile``,
 ``link_byte_loads`` and the enumerating certifier -- is a view over one
 kernel that walks a block of stages at once and counts keyed cells with
@@ -146,7 +146,7 @@ def sequence_cases(draw):
 @st.composite
 def stage_cases(draw):
     """Tables and one stage of arbitrary flows, self flows included,
-    with class keys and byte weights."""
+    with byte weights."""
     tables = draw(table_cases())
     if tables is None:
         return None
@@ -155,10 +155,8 @@ def stage_cases(draw):
     F = draw(st.integers(0, 3 * N))
     src = rng.integers(N, size=F)
     dst = rng.integers(N, size=F)
-    C = draw(st.integers(1, 4))
-    flow_class = rng.integers(C, size=F)
     size = rng.choice([0.0, 1.0, 2048.0, 1e6 / 3], size=F)
-    return tables, src, dst, flow_class, C, size
+    return tables, src, dst, size
 
 
 def _sequences(N, src, dst, size):
@@ -175,13 +173,10 @@ class TestLinkLoadKernel:
     def test_stage_views_equal_reference(self, case, switch_only):
         if case is None:
             return
-        tables, src, dst, flow_class, C, size = case
+        tables, src, dst, size = case
         for name, args in [
                 ("stage_link_loads", (tables, src, dst)),
-                ("stage_max_hsd", (tables, src, dst, switch_only)),
-                ("stage_class_link_loads", (tables, src, dst, flow_class)),
-                ("stage_class_link_loads", (tables, src, dst, flow_class,
-                                            C + 1))]:
+                ("stage_max_hsd", (tables, src, dst, switch_only))]:
             _assert_same(_outcome(getattr(hsd, name), *args),
                          _outcome(getattr(ref, name), *args))
         seqs = _sequences(tables.fabric.num_endports, src, dst, size)
